@@ -49,9 +49,9 @@ bench-serve:
 	$(PYTHON) benchmarks/perf_smoke.py --serve-only --check-only
 
 # Forest-build gate: the paper-scale build scenario at its 2^20 CI size —
-# serial vs fork vs shm with bit-identity asserted and the parallel targets
-# (>=2x over serial, shm beats fork) enforced on hosts with >= 4 CPUs
-# (recorded unenforced on smaller hosts).  BENCH_engine.json is appended.
+# serial single tree vs forest with bit-identity asserted and the parallel
+# target (>=2x over serial) enforced on hosts with >= 4 CPUs (recorded
+# unenforced on smaller hosts).  BENCH_engine.json is appended.
 # "--scale paper" runs the full 2^26 scenario instead.
 bench-build:
 	$(PYTHON) benchmarks/perf_smoke.py --build-only --scale tiny

@@ -20,17 +20,16 @@ Usage::
 
 A sharded-build scenario measures the Morton-prefix forest
 (:mod:`repro.rtx.forest`) at 2^20 keys against the serial single-tree build:
-one entry per (worker count, backend) pair — the pickling ``fork`` backend
-and the zero-copy shared-memory ``shm`` backend — each verifying that the
-stitched forest tree is bit-identical to the single-tree arrays, and each
-recording the bytes pickled vs shared per build.  ``--build-only`` runs
-just this scenario (``make bench-build``; ``--scale paper`` lifts it to the
-paper's 2^26-key column).  Because the worker pool is a host
-multiprocessing pool, every recorded entry carries the effective pool size,
-the shard count and the machine's CPU count, keeping BENCH trajectories
-comparable across machines — the parallel-speedup and shm-beats-fork
-targets are only *enforced* on hosts with enough CPUs to run the pool
-concurrently (a single-CPU host still records the scenario).
+one entry per worker count, each verifying that the stitched forest tree is
+bit-identical to the single-tree arrays, and each recording the bytes
+pickled vs shared per build.  ``--build-only`` runs just this scenario
+(``make bench-build``; ``--scale paper`` lifts it to the paper's 2^26-key
+column).  Because the worker pool is a host multiprocessing pool, every
+recorded entry carries the effective pool size, the shard count and the
+machine's CPU count, keeping BENCH trajectories comparable across machines
+— the parallel-speedup target is only *enforced* on hosts with enough CPUs
+to run the pool concurrently (a single-CPU host still records the
+scenario).
 
 Targets (checked, reported, and enforced under ``--strict``):
 
@@ -172,24 +171,17 @@ def bench_build_forest(
     log2_keys: int,
     shard_bits: int,
     workers_list: tuple[int, ...],
-    backends: tuple[str, ...] = ("fork", "shm"),
     compare: bool = True,
 ) -> list[dict]:
     """Time sharded forest builds against the serial single-tree build.
 
-    One entry per (worker count, backend), all sharing a single timed
-    single-tree comparison partner (``ref_seconds``) — our own vectorised
-    ``build_bvh``, not the seed reference — so the speedup isolates what
-    sharding plus the worker pool buys.  Every stitched tree is verified
-    bit-identical to the single-tree arrays on the way.
-
-    The backend axis records what each execution schedule moves: ``fork``
-    ships O(n) arrays through the pool's pickle channel per task
-    (``bytes_pickled``), ``shm`` places inputs and outputs in shared-memory
-    blocks (``bytes_shared``) and pickles only O(1) task descriptors.  A shm
-    entry additionally carries ``fork_seconds`` (the fork entry's wall-clock
-    at the same worker count) and ``speedup_vs_fork`` — the head-to-head the
-    zero-copy backend is gated on.
+    One entry per worker count, all sharing a single timed single-tree
+    comparison partner (``ref_seconds``) — our own vectorised ``build_bvh``,
+    not the seed reference — so the speedup isolates what sharding plus the
+    worker pool buys.  Every stitched tree is verified bit-identical to the
+    single-tree arrays on the way.  Each entry records what the build moved:
+    the shared-memory bytes the workers view in place (``bytes_shared``) and
+    the task-descriptor bytes pickled to them (``bytes_pickled``).
     """
     n = 2**log2_keys
     rng = np.random.default_rng(log2_keys)
@@ -203,42 +195,30 @@ def bench_build_forest(
         ref_seconds = _time(lambda: build_bvh(buffer, BvhBuildOptions()), repeats=2)
 
     entries = []
-    fork_seconds: dict[int, float] = {}
     for workers in workers_list:
-        for backend in backends:
-            options = BvhBuildOptions(
-                shard_bits=shard_bits, workers=workers, backend=backend
-            )
-            forest = build_forest(buffer, options)
-            timing = _time_stats(lambda: build_forest(buffer, options), repeats=2)
-            telemetry = forest.telemetry
-            entry = {
-                "path": "build_forest",
-                "log2_keys": log2_keys,
-                "shard_bits": shard_bits,
-                "backend": backend,
-                "workers_requested": workers,
-                "workers": forest.workers_used,
-                "shards": forest.non_empty_shards,
-                "delegated_shards": forest.delegated_shards,
-                "bytes_pickled": telemetry.bytes_pickled,
-                "bytes_shared": telemetry.bytes_shared,
-                "cpu_count": os.cpu_count() or 1,
-                **timing,
-            }
-            if backend == "fork":
-                fork_seconds[workers] = entry["new_seconds"]
-            elif workers in fork_seconds:
-                entry["fork_seconds"] = fork_seconds[workers]
-                entry["speedup_vs_fork"] = fork_seconds[workers] / entry["new_seconds"]
-            if compare:
-                entry["ref_seconds"] = ref_seconds
-                entry["speedup"] = ref_seconds / entry["new_seconds"]
-                diff = bvh_arrays_diff(forest.bvh, single)
-                assert diff is None, (
-                    f"{backend} forest diverged from the single tree on {diff!r}"
-                )
-            entries.append(entry)
+        options = BvhBuildOptions(shard_bits=shard_bits, workers=workers)
+        forest = build_forest(buffer, options)
+        timing = _time_stats(lambda: build_forest(buffer, options), repeats=2)
+        telemetry = forest.telemetry
+        entry = {
+            "path": "build_forest",
+            "log2_keys": log2_keys,
+            "shard_bits": shard_bits,
+            "workers_requested": workers,
+            "workers": forest.workers_used,
+            "shards": forest.non_empty_shards,
+            "delegated_shards": forest.delegated_shards,
+            "bytes_pickled": telemetry.bytes_pickled,
+            "bytes_shared": telemetry.bytes_shared,
+            "cpu_count": os.cpu_count() or 1,
+            **timing,
+        }
+        if compare:
+            entry["ref_seconds"] = ref_seconds
+            entry["speedup"] = ref_seconds / entry["new_seconds"]
+            diff = bvh_arrays_diff(forest.bvh, single)
+            assert diff is None, f"forest diverged from the single tree on {diff!r}"
+        entries.append(entry)
     return entries
 
 
@@ -1141,23 +1121,9 @@ def check_targets(entries: list[dict]) -> list[str]:
             if entry["cpu_count"] >= FOREST_TARGET_MIN_CPUS:
                 if speedup < FOREST_BUILD_SPEEDUP_TARGET:
                     problems.append(
-                        f"forest build ({entry.get('backend', 'fork')}) "
-                        f"2^{entry['log2_keys']} keys, "
+                        f"forest build 2^{entry['log2_keys']} keys, "
                         f"{entry['workers_requested']} workers: "
                         f"{speedup:.2f}x < {FOREST_BUILD_SPEEDUP_TARGET}x"
-                    )
-                # The zero-copy backend exists to beat fork head-to-head at
-                # the same worker count; recorded everywhere, enforced only
-                # where the pool has real CPUs under it.
-                if (
-                    entry.get("backend") == "shm"
-                    and entry.get("speedup_vs_fork") is not None
-                    and entry["speedup_vs_fork"] < 1.0
-                ):
-                    problems.append(
-                        f"shm build 2^{entry['log2_keys']} keys, "
-                        f"{entry['workers_requested']} workers: "
-                        f"{entry['speedup_vs_fork']:.2f}x vs fork (< 1.0x)"
                     )
         if entry["path"] == "serve" and entry["log2_requests"] >= 16:
             if speedup < SERVE_SPEEDUP_TARGET:
@@ -1190,10 +1156,7 @@ def format_table(entries: list[dict]) -> str:
         if entry["path"] == "build":
             config = f"{entry['builder']} 2^{entry['log2_keys']} keys"
         elif entry["path"] == "build_forest":
-            config = (
-                f"2^{entry['log2_keys']} {entry.get('backend', 'fork')} "
-                f"w={entry['workers_requested']}"
-            )
+            config = f"2^{entry['log2_keys']} w={entry['workers_requested']}"
         elif entry["path"] == "trace_firstk":
             config = f"2^{entry['log2_rays']} rays k={entry['limit']}"
         elif entry["path"] in ("trace", "trace_anyhit"):
@@ -1270,9 +1233,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--build-only",
         action="store_true",
-        help="run only the forest-build scenario (serial vs fork vs shm, "
-        "bit-identity asserted, artifact appended); the parallel targets "
-        "are enforced — but only bind on hosts with >= "
+        help="run only the forest-build scenario (serial single tree vs "
+        "forest, bit-identity asserted, artifact appended); the parallel "
+        "target is enforced — but only binds on hosts with >= "
         f"{FOREST_TARGET_MIN_CPUS} CPUs (make bench-build)",
     )
     parser.add_argument(
@@ -1315,7 +1278,7 @@ def main(argv: list[str] | None = None) -> int:
             shard_bits=6,
             workers_list=(1, 4),
             # The paper-scale single tree would dominate the run; the
-            # backends still cross-check against each other via the gate.
+            # bit-identity check runs at the CI size.
             compare=args.scale == "tiny",
         )
         append_artifact(entries, args.out)

@@ -39,12 +39,10 @@ def serve(index, max_batch, cache_capacity):
 
 def main() -> None:
     keys = dense_shuffled_keys(NUM_KEYS, seed=1)
-    # The zero-copy shared-memory build backend: workers read inputs and
-    # write sub-trees through /dev/shm views, so only task descriptors are
-    # ever pickled (stats()["build"] below shows the byte split).
-    index = RXIndex(
-        RXConfig.paper_default().with_delta_updates(shard_bits=4, backend="shm")
-    )
+    # The sharded forest build: workers read inputs and write sub-trees
+    # through shared-memory views, so only task descriptors are ever
+    # pickled (stats()["build"] below shows the byte split).
+    index = RXIndex(RXConfig.paper_default().with_delta_updates(shard_bits=4))
     index.build(keys)
 
     # ------------------------------------------------------------------ #

@@ -135,12 +135,6 @@ class RXConfig:
     shard_bits: int = 0
     #: worker processes for sharded builds; 1 = serial (always bit-identical)
     build_workers: int = 1
-    #: execution backend of sharded builds: "fork" ships shard arrays through
-    #: the pool's pickle channel, "shm" places inputs and outputs in
-    #: ``multiprocessing.shared_memory`` blocks so workers read and write
-    #: zero-copy views (requires ``shard_bits >= 1``).  Purely a schedule
-    #: knob: both backends emit bit-identical trees.
-    build_backend: str = "fork"
     sphere_radius: float = 0.25
     #: safety cap for the ray fan-out of wide range lookups in 3D Mode
     max_rays_per_range: int = 64
@@ -224,15 +218,6 @@ class RXConfig:
             )
         if self.build_workers < 1:
             raise ValueError("build_workers must be at least 1")
-        if self.build_backend not in ("fork", "shm"):
-            raise ValueError(
-                f"build_backend must be 'fork' or 'shm', got {self.build_backend!r}"
-            )
-        if self.build_backend == "shm" and self.shard_bits < 1:
-            raise ValueError(
-                "the shm build backend operates on the sharded forest "
-                "pipeline; it requires shard_bits >= 1"
-            )
         if self.update_policy is UpdatePolicy.DELTA_SHARD and self.shard_bits < 1:
             raise ValueError(
                 "delta-shard updates require shard_bits >= 1: the update "
@@ -317,21 +302,17 @@ class RXConfig:
             update_policy=UpdatePolicy.REFIT,
         )
 
-    def with_delta_updates(
-        self, shard_bits: int = 6, workers: int = 1, backend: str = "fork"
-    ) -> "RXConfig":
+    def with_delta_updates(self, shard_bits: int = 6, workers: int = 1) -> "RXConfig":
         """Copy of this config prepared for forest-backed delta-shard updates.
 
         Unlike refits, delta updates rebuild (and recompact) the dirty
         subtrees, so neither the OptiX update flag nor disabling compaction
-        is required.  ``backend="shm"`` selects the zero-copy shared-memory
-        build backend (bit-identical output, different execution schedule).
+        is required.
         """
         return replace(
             self,
             shard_bits=shard_bits,
             build_workers=workers,
-            build_backend=backend,
             update_policy=UpdatePolicy.DELTA_SHARD,
         )
 
@@ -359,7 +340,6 @@ class RXConfig:
             "morton_bits": self.morton_bits,
             "shard_bits": self.shard_bits,
             "build_workers": self.build_workers,
-            "build_backend": self.build_backend,
             "sphere_radius": self.sphere_radius,
             "max_rays_per_range": self.max_rays_per_range,
             "value_bytes": self.value_bytes,
@@ -378,8 +358,18 @@ class RXConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "RXConfig":
-        """Inverse of :meth:`as_dict`; validates the reconstructed config."""
+        """Inverse of :meth:`as_dict`; validates the reconstructed config.
+
+        Snapshots written while sharded builds had a choice of executor
+        carry a ``build_backend`` of ``"fork"`` or ``"shm"``; both name the
+        same trees, so the key is accepted and dropped.
+        """
         data = dict(data)
+        backend = data.pop("build_backend", None)
+        if backend not in (None, "fork", "shm"):
+            raise ValueError(
+                f"malformed RXConfig dict: unknown build_backend {backend!r}"
+            )
         try:
             config = RXConfig(
                 key_mode=KeyMode(data.pop("key_mode")),

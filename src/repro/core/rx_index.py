@@ -153,7 +153,6 @@ class RXIndex(GpuIndex):
             morton_bits=self.config.morton_bits,
             shard_bits=self.config.shard_bits,
             workers=self.config.build_workers,
-            backend=self.config.build_backend,
         )
 
     def _make_build_input(self, keys: np.ndarray):
@@ -717,7 +716,6 @@ class RXIndex(GpuIndex):
             allow_compaction=bool(flags & BuildFlags.ALLOW_COMPACTION),
             shard_bits=base.shard_bits,
             workers=base.workers,
-            backend=base.backend,
         )
         compacted = bool(meta.get("compacted", False))
         if meta.get("kind") == "forest":
@@ -844,8 +842,9 @@ class RXIndex(GpuIndex):
 
     def _build_stats_block(self, forest) -> dict:
         """The ``stats()["build"]`` telemetry: what the last accel build (or
-        delta update) moved and spent.  Single-tree builds have no pool and
-        no shared blocks, so they report a synthesized serial entry."""
+        delta update) moved and spent.  Forest builds run on shared memory
+        ("shm"); single-tree builds have no pool and no shared arrays, so
+        they report a synthesized serial entry."""
         telemetry = forest.telemetry if forest is not None else None
         if telemetry is None:
             return {
@@ -860,7 +859,7 @@ class RXIndex(GpuIndex):
                 "wall_seconds": self._last_build_seconds,
             }
         return {
-            "backend": telemetry.backend,
+            "backend": "shm",
             "workers_requested": telemetry.workers_requested,
             "workers_used": telemetry.workers_used,
             "shards": telemetry.shards,

@@ -109,8 +109,8 @@ def write_aabbs_into(
 ) -> int:
     """Write per-primitive AABBs into caller-provided arrays, in place.
 
-    The zero-copy build backend allocates its bound arrays as shared-memory
-    blocks before computing anything into them; this is the fill step.  The
+    The forest build allocates its bound arrays in shared memory before
+    computing anything into them; this is the fill step.  The
     float32 buffer bounds widen to the destination dtype exactly as an
     ``astype`` would, so downstream arithmetic matches the copying path bit
     for bit.  Returns the number of primitives written.

@@ -84,14 +84,6 @@ class BvhBuildOptions:
         Worker processes used to build the shards of a sharded build.  ``1``
         (the default) builds every shard serially in-process; any value is
         bit-identical per shard, so results never depend on the pool size.
-    backend:
-        Executor of a sharded build.  ``"fork"`` (the default) hands each
-        shard to a fork pool and pickles rows and sub-trees through the pool
-        channel; ``"shm"`` stages inputs and outputs in
-        ``multiprocessing.shared_memory`` blocks so workers read and write
-        zero-copy views in place and only O(1) job descriptors are pickled
-        (:mod:`repro.rtx.forest`).  Like ``workers``, this is purely an
-        execution-schedule knob: every backend emits bit-identical trees.
     """
 
     builder: str = "lbvh"
@@ -102,7 +94,6 @@ class BvhBuildOptions:
     allow_compaction: bool = True
     shard_bits: int = 0
     workers: int = 1
-    backend: str = "fork"
 
     def validate(self) -> None:
         if self.builder not in ("lbvh", "sah", "median"):
@@ -125,13 +116,6 @@ class BvhBuildOptions:
             raise ValueError("shard_bits cannot exceed the Morton code width")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.backend not in ("fork", "shm"):
-            raise ValueError(f"unknown build backend {self.backend!r}")
-        if self.backend == "shm" and self.shard_bits < 1:
-            raise ValueError(
-                "the shm build backend operates on the sharded forest "
-                "pipeline; it requires shard_bits >= 1"
-            )
 
 
 @dataclass
@@ -405,7 +389,7 @@ def build_lbvh_over_sorted(
 
     ``out`` optionally provides the destination node arrays (keys ``left``,
     ``right``, ``first_prim``, ``prim_count``, ``node_mins``, ``node_maxs``,
-    each with capacity for ``2 * m - 1`` nodes) — the shm backend passes
+    each with capacity for ``2 * m - 1`` nodes) — the forest build passes
     shared-memory views here so workers emit their sub-trees in place.
     """
     splitter = _LbvhSplitter(np.asarray(sorted_codes, dtype=np.uint64), options)
@@ -577,8 +561,8 @@ class _LevelSynchronousBuilder:
             out_first = np.empty(num_nodes, dtype=np.int64)
             out_count = np.empty(num_nodes, dtype=np.int64)
         else:
-            # Caller-provided destination views (shared-memory blocks for the
-            # shm backend): the DFS-ordered scatter below writes the final
+            # Caller-provided destination views (the forest build's shared
+            # scratch): the DFS-ordered scatter below writes the final
             # layout directly into them, so the emitted Bvh aliases the
             # caller's storage with no copy-out pass.
             out_mins = out["node_mins"][:num_nodes]

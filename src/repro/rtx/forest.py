@@ -12,17 +12,17 @@ which means the single tree :func:`repro.rtx.bvh.build_bvh` emits is exactly
   bucket's own sorted codes and primitive bounds.
 
 The forest therefore builds the shards independently — optionally across a
-``multiprocessing`` pool, with bit-identical per-shard results for any worker
-count — and stitches them under the top-level table into a tree whose arrays
-(including the stack-order DFS node numbering) equal the single-tree build
-bit for bit.  Traversal needs no special dispatch path: advancing the
-frontier through the top-level table *is* the shard dispatch (a ray only ever
-reaches the sub-BVHs whose shard bounds it overlaps), and because the
-stitched tree is the single tree, hits and counters of all three trace modes
-come out in exactly the single-tree stream order.
+fork pool, with bit-identical per-shard results for any worker count — and
+stitches them under the top-level table into a tree whose arrays (including
+the stack-order DFS node numbering) equal the single-tree build bit for bit.
+Traversal needs no special dispatch path: advancing the frontier through the
+top-level table *is* the shard dispatch (a ray only ever reaches the
+sub-BVHs whose shard bounds it overlaps), and because the stitched tree is
+the single tree, hits and counters of all three trace modes come out in
+exactly the single-tree stream order.
 
 Updates exploit the same decomposition: :func:`delta_update_forest` compares
-the new primitive bounds row by row against the previous build, marks only
+the new primitive bounds row by row against the previous input, marks only
 the shards that gained, lost, or moved a primitive as dirty, re-sorts and
 rebuilds those, and re-stitches.  Clean shards reuse their sorted row order
 and sub-tree unchanged (their leaf ranges are merely rebased), so the
@@ -35,6 +35,33 @@ several buckets.  The top-level planner reproduces this by absorbing such
 runs of tiny buckets into *mixed leaves*; absorbed buckets keep their sorted
 rows (they still occupy their slice of the global primitive stream) but carry
 no sub-tree.
+
+Execution.  Every large array lives in anonymous shared memory
+(:mod:`repro.rtx.shm`), so pool workers forked per call read and write it in
+place and only O(1) task descriptors are ever pickled:
+
+* Quantise and bucket grouping run as chunked passes.  Chunk boundaries
+  depend only on ``(n, options.workers)`` — never on the effective pool size
+  — and each pass is exactly equivalent to its serial counterpart:
+  quantisation is row-independent, scene bounds are an associative min/max
+  reduction, and the chunked counting-scatter (ascending chunks, stable
+  within each chunk) reproduces the global stable argsort.
+* The stitch *is* the final layout.  The single tree's DFS numbering
+  (``_dfs_renumbering`` in :mod:`repro.rtx.bvh`: the k-th inner node in
+  right-first preorder allocates ids ``2k+1``/``2k+2``) decomposes per shard:
+  a shard subtree is a contiguous segment of that preorder, so every
+  non-root local node ``l`` lands at global id ``l + 2K``, where ``K`` is the
+  number of inner nodes preceding the segment.  ``_walk_top_numbering``
+  computes all ``K`` in O(shards); workers then rebase-copy their scratch
+  trees straight into the final arrays at those offsets.
+
+Lifetimes.  The float64 primitive bounds and the Morton grid are per-call
+inputs, dropped when the call returns.  A forest's *epoch* — its bucket
+column, primitive stream, per-shard scratch trees and final node arrays —
+lives as long as the forest or any ``Bvh`` pinned over it.  A delta update
+writes a fresh epoch and copies the clean shards into it from the old one,
+so every epoch is self-contained and serving-side snapshots that pin an old
+``Bvh`` stay valid.
 """
 
 from __future__ import annotations
@@ -52,7 +79,6 @@ from repro.rtx.bvh import (
     BVH_ARRAY_FIELDS,
     Bvh,
     BvhBuildOptions,
-    _dfs_renumbering,
     build_lbvh_over_sorted,
 )
 from repro.rtx.geometry import PrimitiveBuffer, ray_box_overlap_pairs
@@ -60,24 +86,8 @@ from repro.rtx.morton import (
     morton_interleave_grid,
     morton_prefix_buckets,
     quantize_points_to_grid,
-    quantize_to_grid_with_bounds,
 )
 from repro.rtx.shm import ShmArena
-
-#: Worker-side payload shared with forked pool processes.  Set in the parent
-#: immediately before the pool is created so the children inherit it through
-#: fork without pickling the (large) grid and bound arrays per task.
-_SHARD_PAYLOAD: dict | None = None
-
-
-@dataclass
-class ShardJob:
-    """One unit of shard work: sort a bucket's rows and/or build its tree."""
-
-    bucket: int
-    rows: np.ndarray
-    needs_sort: bool
-    build_tree: bool
 
 
 @dataclass
@@ -100,14 +110,12 @@ class DeltaUpdateStats:
 class BuildTelemetry:
     """What a forest build (or delta update) moved and spent.
 
-    ``bytes_shared`` counts shared-memory block bytes the workers access as
-    zero-copy views (0 under the fork backend); ``bytes_pickled`` counts
-    bytes that crossed the pool's pickle channel — exact task-descriptor
-    sizes for the shm backend, an array-size estimate (rows out, rows plus
-    sub-tree arrays back) for fork.  Surfaced as ``RXIndex.stats()["build"]``.
+    ``bytes_shared`` counts the shared-memory bytes the workers access as
+    zero-copy views; ``bytes_pickled`` counts the exact task-descriptor
+    bytes that crossed the pool's pickle channel.  Surfaced as
+    ``RXIndex.stats()["build"]``.
     """
 
-    backend: str
     workers_requested: int
     workers_used: int
     shards: int
@@ -147,11 +155,9 @@ class BvhForest:
     _top_node_count: int = 0
     #: telemetry of the build or update that produced this forest
     telemetry: BuildTelemetry | None = None
-    #: shm backend bookkeeping (None under fork): the persistent input blocks
-    #: reused across delta updates, and this epoch's output blocks (the old
-    #: epoch a delta copies clean shards out of)
-    _shm_state: object = field(default=None, repr=False, compare=False)
-    _shm_epoch: object = field(default=None, repr=False, compare=False)
+    #: the shared arrays behind this forest (the old epoch a delta update
+    #: copies clean shards out of)
+    _epoch: object = field(default=None, repr=False, compare=False)
 
     @property
     def num_shards(self) -> int:
@@ -285,645 +291,12 @@ def plan_top_level(
 
 
 # --------------------------------------------------------------------------- #
-# shard jobs
+# shared arrays and the task runner
 # --------------------------------------------------------------------------- #
 
-
-def _run_shard_job(job: ShardJob):
-    """Sort one bucket's rows by Morton code and optionally build its tree.
-
-    Reads the large shared inputs from :data:`_SHARD_PAYLOAD` (inherited via
-    fork in pooled builds, set directly for serial ones).  Deterministic in
-    its inputs, so results are bit-identical for any pool size.
-    """
-    payload = _SHARD_PAYLOAD
-    rows = job.rows
-    codes = morton_interleave_grid(payload["grid"][rows], payload["bits"])
-    if job.needs_sort:
-        order = np.argsort(codes, kind="stable")
-        rows = rows[order]
-        codes = codes[order]
-    tree = None
-    if job.build_tree:
-        tree = build_lbvh_over_sorted(
-            codes,
-            payload["prim_mins"][rows],
-            payload["prim_maxs"][rows],
-            payload["options"],
-        )
-    return job.bucket, rows, tree
-
-
-def _execute_jobs(
-    jobs: list[ShardJob], payload: dict, workers: int
-) -> tuple[list, int]:
-    """Run shard jobs serially or across a fork pool; returns (results, pool size)."""
-    global _SHARD_PAYLOAD
-    _SHARD_PAYLOAD = payload
-    try:
-        pool_size = min(workers, len(jobs))
-        if pool_size > 1:
-            try:
-                ctx = multiprocessing.get_context("fork")
-            except ValueError:
-                pool_size = 1
-        if pool_size > 1:
-            with ctx.Pool(processes=pool_size) as pool:
-                results = pool.map(_run_shard_job, jobs)
-        else:
-            pool_size = 1
-            results = [_run_shard_job(job) for job in jobs]
-        return results, pool_size
-    finally:
-        _SHARD_PAYLOAD = None
-
-
-def _fork_bytes_pickled(jobs: list[ShardJob], results: list, pool_size: int) -> int:
-    """Estimate of bytes that crossed the fork pool's pickle channel.
-
-    Each job ships its row-index array to a worker and receives the rows
-    (plus the sub-tree arrays, when one was built) back — the O(n) per-task
-    traffic the shm backend eliminates.  Serial execution pickles nothing.
-    """
-    if pool_size <= 1:
-        return 0
-    total = sum(int(job.rows.nbytes) for job in jobs)
-    for _, rows, tree in results:
-        total += int(rows.nbytes)
-        if tree is not None:
-            total += sum(int(getattr(tree, name).nbytes) for name in BVH_ARRAY_FIELDS)
-    return total
-
-
-# --------------------------------------------------------------------------- #
-# stitching
-# --------------------------------------------------------------------------- #
-
-
-def _stitch(
-    shard_vals: np.ndarray,
-    shard_counts: np.ndarray,
-    shard_rows: dict[int, np.ndarray],
-    shard_trees: dict[int, Bvh],
-    plan: _TopPlan,
-    prim_mins: np.ndarray,
-    prim_maxs: np.ndarray,
-    options: BvhBuildOptions,
-) -> Bvh:
-    """Assemble the global single tree from the top plan and shard sub-trees.
-
-    Works in an intermediate numbering (top-level nodes first, shard blocks
-    after), then renumbers to the stack-order DFS ids the single-tree builder
-    emits — the output arrays are bit-identical to ``build_bvh`` with
-    ``shard_bits=0``.
-    """
-    stream_starts = np.cumsum(shard_counts) - shard_counts
-    start_of_bucket = {int(b): int(s) for b, s in zip(shard_vals, stream_starts)}
-    rows_stream = (
-        np.concatenate([shard_rows[int(b)] for b in shard_vals])
-        if shard_vals.size
-        else np.zeros(0, dtype=np.int64)
-    )
-    n = int(rows_stream.shape[0])
-
-    num_top = len(plan.entries)
-    offsets: dict[int, int] = {}
-    next_id = num_top
-    for bucket in sorted(shard_trees):
-        offsets[bucket] = next_id
-        next_id += shard_trees[bucket].node_count
-    if next_id == 0:
-        # Non-empty inputs always yield at least one plan entry or one
-        # delegated shard; both entry points reject zero primitives.
-        raise ValueError("cannot stitch an empty forest")
-    num_nodes = next_id
-
-    left = np.full(num_nodes, -1, dtype=np.int64)
-    right = np.full(num_nodes, -1, dtype=np.int64)
-    first_prim = np.zeros(num_nodes, dtype=np.int64)
-    prim_count = np.zeros(num_nodes, dtype=np.int64)
-    node_mins = np.empty((num_nodes, 3), dtype=np.float32)
-    node_maxs = np.empty((num_nodes, 3), dtype=np.float32)
-
-    # Shard blocks: rebase child pointers by the block offset and leaf ranges
-    # by the bucket's slice of the global primitive stream.
-    for bucket, tree in shard_trees.items():
-        off = offsets[bucket]
-        sl = slice(off, off + tree.node_count)
-        inner = tree.left >= 0
-        left[sl] = np.where(inner, tree.left + off, -1)
-        right[sl] = np.where(inner, tree.right + off, -1)
-        # Only leaves reference the primitive stream; inner nodes keep the
-        # builder's zero placeholder.
-        first_prim[sl] = np.where(
-            inner, tree.first_prim, tree.first_prim + start_of_bucket[bucket]
-        )
-        prim_count[sl] = tree.prim_count
-        node_mins[sl] = tree.node_mins
-        node_maxs[sl] = tree.node_maxs
-
-    def _resolve(ref: tuple) -> int:
-        return ref[1] if ref[0] == "t" else offsets[ref[1]]
-
-    # Top leaves first (their bounds come straight from the primitives), then
-    # inner bounds bottom-up — children always have larger entry ids, so one
-    # reverse sweep suffices.
-    for i, entry in enumerate(plan.entries):
-        if entry[0] == "leaf":
-            _, lo, count = entry
-            first_prim[i] = lo
-            prim_count[i] = count
-            gathered = rows_stream[lo : lo + count]
-            node_mins[i] = prim_mins[gathered].min(axis=0).astype(np.float32)
-            node_maxs[i] = prim_maxs[gathered].max(axis=0).astype(np.float32)
-    for i in range(num_top - 1, -1, -1):
-        entry = plan.entries[i]
-        if entry[0] != "inner":
-            continue
-        l = _resolve(entry[1])
-        r = _resolve(entry[2])
-        left[i] = l
-        right[i] = r
-        node_mins[i] = np.minimum(node_mins[l], node_mins[r])
-        node_maxs[i] = np.maximum(node_maxs[l], node_maxs[r])
-
-    levels: list[np.ndarray] = []
-    frontier = np.zeros(1, dtype=np.int64)
-    while frontier.size:
-        levels.append(frontier)
-        inner = frontier[left[frontier] >= 0]
-        if inner.size == 0:
-            break
-        frontier = np.concatenate([left[inner], right[inner]])
-
-    perm = _dfs_renumbering(left, right, levels)
-    out_mins = np.empty_like(node_mins)
-    out_maxs = np.empty_like(node_maxs)
-    out_left = np.empty_like(left)
-    out_right = np.empty_like(right)
-    out_first = np.empty_like(first_prim)
-    out_count = np.empty_like(prim_count)
-    safe_left = np.maximum(left, 0)
-    safe_right = np.maximum(right, 0)
-    out_left[perm] = np.where(left >= 0, perm[safe_left], -1)
-    out_right[perm] = np.where(right >= 0, perm[safe_right], -1)
-    out_first[perm] = first_prim
-    out_count[perm] = prim_count
-    out_mins[perm] = node_mins
-    out_maxs[perm] = node_maxs
-    bvh = Bvh(
-        node_mins=out_mins,
-        node_maxs=out_maxs,
-        left=out_left,
-        right=out_right,
-        first_prim=out_first,
-        prim_count=out_count,
-        prim_indices=rows_stream,
-        num_primitives=n,
-        options=options,
-    )
-    bvh.build_stats = {
-        "builder": options.builder,
-        "num_primitives": n,
-        "node_count": bvh.node_count,
-        "leaf_count": bvh.leaf_count,
-        "shards": 1 << options.shard_bits,
-        "delegated_shards": len(shard_trees),
-        "top_nodes": num_top,
-    }
-    return bvh
-
-
-# --------------------------------------------------------------------------- #
-# build + delta update
-# --------------------------------------------------------------------------- #
-
-
-def build_forest(
-    primitive_buffer: PrimitiveBuffer, options: BvhBuildOptions | None = None
-) -> BvhForest:
-    """Build a sharded BVH forest over all primitives of ``primitive_buffer``.
-
-    Requires ``options.shard_bits >= 1`` and the ``"lbvh"`` builder; the
-    stitched ``forest.bvh`` is bit-identical to the single-tree
-    :func:`repro.rtx.bvh.build_bvh` with the same options minus sharding.
-    """
-    options = options or BvhBuildOptions(shard_bits=4)
-    options.validate()
-    if options.shard_bits < 1:
-        raise ValueError("build_forest requires shard_bits >= 1")
-    if options.backend == "shm":
-        return _build_forest_shm(primitive_buffer, options)
-    t0 = time.perf_counter()
-    prim_mins, prim_maxs = primitive_buffer.compute_aabbs()
-    prim_mins = prim_mins.astype(np.float64)
-    prim_maxs = prim_maxs.astype(np.float64)
-    n = prim_mins.shape[0]
-    if n == 0:
-        raise ValueError("cannot build a BVH forest over zero primitives")
-
-    centroids = 0.5 * (prim_mins + prim_maxs)
-    grid, lo, hi = quantize_to_grid_with_bounds(centroids, options.morton_bits)
-    bucket = morton_prefix_buckets(grid, options.morton_bits, options.shard_bits)
-
-    num_buckets = 1 << options.shard_bits
-    counts = np.bincount(bucket, minlength=num_buckets)
-    group_order = np.argsort(bucket, kind="stable")
-    starts = np.cumsum(counts) - counts
-    shard_vals = np.flatnonzero(counts).astype(np.uint64)
-    shard_counts = counts[shard_vals.astype(np.int64)]
-
-    plan = plan_top_level(shard_vals, shard_counts, options.max_leaf_size)
-    delegated = set(plan.delegated)
-
-    jobs = [
-        ShardJob(
-            bucket=int(b),
-            rows=group_order[starts[int(b)] : starts[int(b)] + counts[int(b)]],
-            needs_sort=True,
-            build_tree=int(b) in delegated,
-        )
-        for b in shard_vals
-    ]
-    payload = {
-        "grid": grid,
-        "prim_mins": prim_mins,
-        "prim_maxs": prim_maxs,
-        "bits": options.morton_bits,
-        "options": options,
-    }
-    results, pool_size = _execute_jobs(jobs, payload, options.workers)
-
-    shard_rows: dict[int, np.ndarray] = {}
-    shard_trees: dict[int, Bvh] = {}
-    for bucket_id, rows, tree in results:
-        shard_rows[bucket_id] = rows
-        if tree is not None:
-            shard_trees[bucket_id] = tree
-
-    bvh = _stitch(
-        shard_vals, shard_counts, shard_rows, shard_trees, plan,
-        prim_mins, prim_maxs, options,
-    )
-    return BvhForest(
-        bvh=bvh,
-        options=options,
-        num_primitives=n,
-        scene_lo=lo,
-        scene_hi=hi,
-        bucket_of_row=bucket,
-        shard_ids=shard_vals.astype(np.int64),
-        shard_rows=shard_rows,
-        shard_trees=shard_trees,
-        workers_used=pool_size,
-        built_shards=len(shard_trees),
-        _top_node_count=len(plan.entries),
-        telemetry=BuildTelemetry(
-            backend="fork",
-            workers_requested=options.workers,
-            workers_used=pool_size,
-            shards=num_buckets,
-            delegated_shards=len(shard_trees),
-            bytes_shared=0,
-            bytes_pickled=_fork_bytes_pickled(jobs, results, pool_size),
-            tasks=len(jobs),
-            wall_seconds=time.perf_counter() - t0,
-        ),
-    )
-
-
-def forest_state_segments(forest: BvhForest):
-    """Yield ``(bucket, arrays, meta)`` per non-empty shard — the persisted
-    form of a forest.
-
-    Only the per-shard *sort outputs* (global rows in code order) and
-    *build outputs* (sub-tree arrays, for delegated buckets) are persisted.
-    Everything else a :class:`BvhForest` carries — the Morton grid, the
-    bucket partition, the top-level plan and the stitched global tree — is
-    a cheap deterministic pass over the key column and is recomputed at
-    load time by :func:`forest_from_saved`, which keeps an incremental save
-    after a delta update proportional to the dirty shards instead of O(n).
-    """
-    for bucket in sorted(forest.shard_rows):
-        arrays: dict[str, np.ndarray] = {
-            "rows": np.ascontiguousarray(forest.shard_rows[bucket], dtype=np.int64)
-        }
-        tree = forest.shard_trees.get(bucket)
-        meta = {"bucket": int(bucket), "delegated": tree is not None}
-        if tree is not None:
-            for name in BVH_ARRAY_FIELDS:
-                arrays[name] = np.ascontiguousarray(getattr(tree, name))
-        yield bucket, arrays, meta
-
-
-def forest_from_saved(
-    primitive_buffer: PrimitiveBuffer,
-    options: BvhBuildOptions,
-    shard_rows: dict[int, np.ndarray],
-    shard_tree_arrays: dict[int, dict[str, np.ndarray]],
-) -> BvhForest:
-    """Rebuild a :class:`BvhForest` from persisted shard state.
-
-    Recomputes the grid, bucket partition and top-level plan from the
-    primitive buffer (deterministic, so they match the saved build
-    exactly), wraps the persisted sub-tree arrays, and re-stitches — the
-    resulting ``forest.bvh`` is bit-identical to the tree that was saved,
-    and the forest is delta-updatable like a freshly built one.  The O(n
-    log n) per-shard sorts and the per-shard tree builds — the expensive
-    parts — are exactly what the persisted state skips.
-    """
-    options.validate()
-    prim_mins, prim_maxs = primitive_buffer.compute_aabbs()
-    prim_mins = prim_mins.astype(np.float64)
-    prim_maxs = prim_maxs.astype(np.float64)
-    n = prim_mins.shape[0]
-    if n == 0:
-        raise ValueError("cannot restore a BVH forest over zero primitives")
-
-    centroids = 0.5 * (prim_mins + prim_maxs)
-    grid, lo, hi = quantize_to_grid_with_bounds(centroids, options.morton_bits)
-    bucket = morton_prefix_buckets(grid, options.morton_bits, options.shard_bits)
-    num_buckets = 1 << options.shard_bits
-    counts = np.bincount(bucket, minlength=num_buckets)
-    shard_vals = np.flatnonzero(counts).astype(np.uint64)
-    shard_counts = counts[shard_vals.astype(np.int64)]
-    plan = plan_top_level(shard_vals, shard_counts, options.max_leaf_size)
-
-    saved = {int(b) for b in shard_rows}
-    expected = {int(b) for b in shard_vals.tolist()}
-    if saved != expected:
-        raise ValueError(
-            "persisted shard set does not match the Morton partition recomputed "
-            f"from the key column (saved {sorted(saved)[:8]}..., "
-            f"expected {sorted(expected)[:8]}...)"
-        )
-    if {int(b) for b in shard_tree_arrays} != set(plan.delegated):
-        raise ValueError(
-            "persisted delegated-shard set does not match the recomputed "
-            "top-level plan"
-        )
-
-    rows: dict[int, np.ndarray] = {int(b): r for b, r in shard_rows.items()}
-    trees: dict[int, Bvh] = {}
-    for b, arrays in shard_tree_arrays.items():
-        count = int(rows[int(b)].shape[0])
-        trees[int(b)] = Bvh(
-            node_mins=arrays["node_mins"],
-            node_maxs=arrays["node_maxs"],
-            left=arrays["left"],
-            right=arrays["right"],
-            first_prim=arrays["first_prim"],
-            prim_count=arrays["prim_count"],
-            prim_indices=arrays["prim_indices"],
-            num_primitives=count,
-            options=options,
-        )
-    bvh = _stitch(
-        shard_vals, shard_counts, rows, trees, plan, prim_mins, prim_maxs, options
-    )
-    return BvhForest(
-        bvh=bvh,
-        options=options,
-        num_primitives=n,
-        scene_lo=lo,
-        scene_hi=hi,
-        bucket_of_row=bucket,
-        shard_ids=shard_vals.astype(np.int64),
-        shard_rows=rows,
-        shard_trees=trees,
-        workers_used=1,
-        built_shards=len(trees),
-        _top_node_count=len(plan.entries),
-        telemetry=None,
-    )
-
-
-def delta_update_forest(
-    forest: BvhForest,
-    old_buffer: PrimitiveBuffer,
-    new_buffer: PrimitiveBuffer,
-) -> tuple[BvhForest, DeltaUpdateStats]:
-    """Bring a forest up to date with moved/added/removed primitives.
-
-    Only shards whose primitive membership or geometry changed are re-sorted
-    and rebuilt; clean shards reuse their sorted rows and sub-trees (rebased
-    into the new stream during stitching).  Returns the updated forest —
-    whose ``bvh`` is bit-identical to a from-scratch build over
-    ``new_buffer`` — plus statistics of the work performed.  A no-op update
-    (nothing changed) returns the original forest untouched.
-    """
-    options = forest.options
-    if options.backend == "shm":
-        return _delta_update_forest_shm(forest, old_buffer, new_buffer)
-    t0 = time.perf_counter()
-    num_buckets = 1 << options.shard_bits
-
-    new_mins, new_maxs = new_buffer.compute_aabbs()
-    new_mins = new_mins.astype(np.float64)
-    new_maxs = new_maxs.astype(np.float64)
-    n_new = new_mins.shape[0]
-    if n_new == 0:
-        raise ValueError("cannot delta-update a forest to zero primitives")
-    centroids = 0.5 * (new_mins + new_maxs)
-    grid, lo, hi = quantize_to_grid_with_bounds(centroids, options.morton_bits)
-
-    def _full_rebuild(rescaled: bool) -> tuple[BvhForest, DeltaUpdateStats]:
-        rebuilt = build_forest(new_buffer, options)
-        stats = DeltaUpdateStats(
-            total_shards=num_buckets,
-            non_empty_shards=rebuilt.non_empty_shards,
-            dirty_shards=rebuilt.non_empty_shards,
-            rebuilt_trees=rebuilt.built_shards,
-            dirty_keys=n_new,
-            total_keys=n_new,
-            rescaled=rescaled,
-        )
-        return rebuilt, stats
-
-    if not (
-        np.array_equal(lo, forest.scene_lo) and np.array_equal(hi, forest.scene_hi)
-    ):
-        # The global grid moved: every Morton code is re-quantised, so no
-        # shard content can be trusted.
-        return _full_rebuild(rescaled=True)
-
-    bucket = morton_prefix_buckets(grid, options.morton_bits, options.shard_bits)
-    old_mins, old_maxs = old_buffer.compute_aabbs()
-    old_mins = old_mins.astype(np.float64)
-    old_maxs = old_maxs.astype(np.float64)
-    n_old = forest.num_primitives
-    common = min(n_old, n_new)
-
-    changed = (new_mins[:common] != old_mins[:common]).any(axis=1)
-    changed |= (new_maxs[:common] != old_maxs[:common]).any(axis=1)
-    dirty = np.zeros(num_buckets, dtype=bool)
-    if changed.any():
-        dirty[forest.bucket_of_row[:common][changed]] = True
-        dirty[bucket[:common][changed]] = True
-    if n_old > common:
-        dirty[forest.bucket_of_row[common:]] = True
-    if n_new > common:
-        dirty[bucket[common:]] = True
-
-    counts = np.bincount(bucket, minlength=num_buckets)
-    shard_vals = np.flatnonzero(counts).astype(np.uint64)
-    shard_counts = counts[shard_vals.astype(np.int64)]
-    dirty_ids = np.flatnonzero(dirty)
-    if dirty_ids.size == 0:
-        return forest, DeltaUpdateStats(
-            total_shards=num_buckets,
-            non_empty_shards=forest.non_empty_shards,
-            dirty_shards=0,
-            rebuilt_trees=0,
-            dirty_keys=0,
-            total_keys=n_new,
-            noop=True,
-        )
-
-    plan = plan_top_level(shard_vals, shard_counts, options.max_leaf_size)
-    delegated = set(plan.delegated)
-
-    # Group the rows of dirty buckets in one stable pass.
-    dirty_row_mask = dirty[bucket]
-    dirty_rows = np.flatnonzero(dirty_row_mask)
-    grouped = dirty_rows[np.argsort(bucket[dirty_rows], kind="stable")]
-    group_counts = np.bincount(bucket[dirty_rows], minlength=num_buckets)
-    group_starts = np.cumsum(group_counts) - group_counts
-
-    jobs: list[ShardJob] = []
-    for b in dirty_ids.tolist():
-        if group_counts[b] == 0:
-            continue  # bucket emptied out; nothing to sort or build
-        jobs.append(
-            ShardJob(
-                bucket=b,
-                rows=grouped[group_starts[b] : group_starts[b] + group_counts[b]],
-                needs_sort=True,
-                build_tree=b in delegated,
-            )
-        )
-    # Clean buckets that the new top plan delegates but that previously had
-    # no sub-tree (they were absorbed into a mixed leaf): build their tree
-    # from the stored, still-sorted rows.
-    for b in delegated:
-        if not dirty[b] and b not in forest.shard_trees:
-            jobs.append(
-                ShardJob(
-                    bucket=b,
-                    rows=forest.shard_rows[b],
-                    needs_sort=False,
-                    build_tree=True,
-                )
-            )
-
-    payload = {
-        "grid": grid,
-        "prim_mins": new_mins,
-        "prim_maxs": new_maxs,
-        "bits": options.morton_bits,
-        "options": options,
-    }
-    results, pool_size = _execute_jobs(jobs, payload, options.workers)
-
-    shard_rows = {
-        b: rows
-        for b, rows in forest.shard_rows.items()
-        if not dirty[b] and counts[b] > 0
-    }
-    shard_trees = {
-        b: tree
-        for b, tree in forest.shard_trees.items()
-        if not dirty[b] and b in delegated
-    }
-    rebuilt_trees = 0
-    for bucket_id, rows, tree in results:
-        shard_rows[bucket_id] = rows
-        if tree is not None:
-            shard_trees[bucket_id] = tree
-            rebuilt_trees += 1
-
-    bvh = _stitch(
-        shard_vals, shard_counts, shard_rows, shard_trees, plan,
-        new_mins, new_maxs, options,
-    )
-    updated = BvhForest(
-        bvh=bvh,
-        options=options,
-        num_primitives=n_new,
-        scene_lo=lo,
-        scene_hi=hi,
-        bucket_of_row=bucket,
-        shard_ids=shard_vals.astype(np.int64),
-        shard_rows=shard_rows,
-        shard_trees=shard_trees,
-        workers_used=pool_size,
-        built_shards=len(shard_trees),
-        _top_node_count=len(plan.entries),
-        telemetry=BuildTelemetry(
-            backend="fork",
-            workers_requested=options.workers,
-            workers_used=pool_size,
-            shards=num_buckets,
-            delegated_shards=len(shard_trees),
-            bytes_shared=0,
-            bytes_pickled=_fork_bytes_pickled(jobs, results, pool_size),
-            tasks=len(jobs),
-            wall_seconds=time.perf_counter() - t0,
-        ),
-    )
-    stats = DeltaUpdateStats(
-        total_shards=num_buckets,
-        non_empty_shards=updated.non_empty_shards,
-        dirty_shards=int(dirty_ids.size),
-        rebuilt_trees=rebuilt_trees,
-        dirty_keys=int(dirty_rows.size),
-        total_keys=n_new,
-    )
-    return updated, stats
-
-
-# --------------------------------------------------------------------------- #
-# shm backend: zero-copy shared-memory build pipeline
-# --------------------------------------------------------------------------- #
-#
-# The fork backend above parallelises only the per-shard sort+build and pays
-# O(n) pickling per task (rows out, rows + sub-tree arrays back), plus three
-# serial O(n) passes: quantise, bucket grouping, and the stitch scatter.  The
-# shm backend removes all four bottlenecks:
-#
-# * Inputs (primitive bounds, Morton grid, bucket ids) and outputs (the
-#   primitive stream, per-shard scratch trees, the final node arrays) live in
-#   ``multiprocessing.shared_memory`` blocks.  Workers inherit numpy views of
-#   them through fork and read/write in place; only O(1) task descriptors are
-#   ever pickled.
-# * Quantise and bucket grouping run as chunked worker passes over the same
-#   blocks.  Chunk boundaries depend only on ``(n, options.workers)`` — never
-#   on the effective pool size — and each pass is exactly equivalent to its
-#   serial counterpart: quantisation is row-independent, scene bounds are an
-#   associative min/max reduction, and the chunked counting-scatter (ascending
-#   chunks, stable within each chunk) reproduces the global stable argsort.
-# * The stitch *is* the final layout.  The single tree's DFS numbering
-#   (``_dfs_renumbering``: the k-th inner node in right-first preorder
-#   allocates ids ``2k+1``/``2k+2``) decomposes per shard: a shard subtree is
-#   a contiguous segment of that preorder, so every non-root local node ``l``
-#   lands at global id ``l + 2K``, where ``K`` is the number of inner nodes
-#   preceding the segment.  ``_walk_top_numbering`` computes all ``K`` in
-#   O(shards); workers then rebase-copy their scratch trees straight into the
-#   final arrays at those offsets — no global renumbering or scatter pass.
-#
-# Block lifetimes: the *state* blocks (bounds/grid/bucket) persist across
-# delta updates — only changed rows are rewritten, and the cached state is
-# exactly what lets a delta skip re-deriving the worker payload per call.
-# The *epoch* blocks (stream/scratch/out) are fresh per build so serving-side
-# epoch snapshots that pin an old ``Bvh`` stay valid; a delta's workers copy
-# clean shards from the old epoch's blocks into the new ones.  Finalizers on
-# the state object and the stitched ``Bvh`` unlink the names at GC; error
-# paths unlink eagerly (see :mod:`repro.rtx.shm`).
-
-#: Worker-side payload of the shm backend: a dict of shared-memory views plus
-#: small constants, set in the parent before pool creation so children
-#: inherit it through fork.  Cached per epoch — delta updates reuse the
-#: persistent state views instead of re-deriving bounds/grid per call.
+#: Worker-side payload: a dict of shared-memory views plus small constants,
+#: set in the parent before the pool forks so children inherit it, and
+#: cleared when the call's executor closes.
 _SHM_PAYLOAD: dict | None = None
 
 #: Scratch/out array names; the int64 node arrays, then the float32 bounds.
@@ -931,95 +304,80 @@ _NODE_FIELDS_I64 = ("left", "right", "first_prim", "prim_count")
 _NODE_FIELDS_F32 = ("node_mins", "node_maxs")
 
 
-class _ShmState:
-    """Persistent shared input blocks, reused in place across delta updates."""
+def _node_arrays(arena: ShmArena, rows: int) -> dict[str, np.ndarray]:
+    arrays = {name: arena.allocate((rows,), np.int64) for name in _NODE_FIELDS_I64}
+    arrays |= {name: arena.allocate((rows, 3), np.float32) for name in _NODE_FIELDS_F32}
+    return arrays
 
-    def __init__(self, n: int):
-        self.n = n
-        self.arena = ShmArena("inputs")
-        self.prim_mins = self.arena.allocate("prim_mins", (n, 3), np.float64)
-        self.prim_maxs = self.arena.allocate("prim_maxs", (n, 3), np.float64)
-        self.grid = self.arena.allocate("grid", (n, 3), np.uint64)
-        self.bucket = self.arena.allocate("bucket", (n,), np.int64)
-        self.arena.attach_finalizer(self)
+
+class _ShmInputs:
+    """Per-call inputs: float64 primitive bounds and the Morton grid."""
+
+    def __init__(self, primitive_buffer: PrimitiveBuffer, n: int):
+        self.arena = ShmArena()
+        self.prim_mins = self.arena.allocate((n, 3), np.float64)
+        self.prim_maxs = self.arena.allocate((n, 3), np.float64)
+        self.grid = self.arena.allocate((n, 3), np.uint64)
+        write_aabbs_into(primitive_buffer, self.prim_mins, self.prim_maxs)
 
 
 class _ShmEpoch:
-    """Per-build shared output blocks plus the layout bookkeeping a later
+    """The shared arrays a forest keeps, plus the layout bookkeeping a later
     delta update needs to copy this epoch's clean shards forward."""
 
     def __init__(self, n: int):
-        self.n = n
-        self.arena = ShmArena("epoch")
-        cap = max(2 * n - 1, 1)
+        self.arena = ShmArena()
+        #: Morton-prefix bucket of every primitive row
+        self.bucket = self.arena.allocate((n,), np.int64)
         #: shard-sorted global row ids — the final ``prim_indices``
-        self.stream = self.arena.allocate("stream", (n,), np.int64)
+        self.stream = self.arena.allocate((n,), np.int64)
         # Worst-case-offset scratch: bucket b's sub-tree goes at offset
         # 2 * stream_start[b] with capacity 2 * count >= its node count.
-        self.scratch = {
-            name: self.arena.allocate("scratch_" + name, (2 * n,), np.int64)
-            for name in _NODE_FIELDS_I64
-        }
-        self.scratch |= {
-            name: self.arena.allocate("scratch_" + name, (2 * n, 3), np.float32)
-            for name in _NODE_FIELDS_F32
-        }
-        self.out = {
-            name: self.arena.allocate("out_" + name, (cap,), np.int64)
-            for name in _NODE_FIELDS_I64
-        }
-        self.out |= {
-            name: self.arena.allocate("out_" + name, (cap, 3), np.float32)
-            for name in _NODE_FIELDS_F32
-        }
+        self.scratch = _node_arrays(self.arena, 2 * n)
+        self.out = _node_arrays(self.arena, max(2 * n - 1, 1))
         # Per non-empty bucket: stream slice start and scratch offset; per
         # delegated bucket: node count.  Filled during the build.
         self.stream_start: dict[int, int] = {}
         self.scratch_off: dict[int, int] = {}
         self.node_count: dict[int, int] = {}
-        #: worker payload assembled once for this epoch (satellite: no
-        #: per-call re-derivation); the executor installs it before forking.
-        self.payload: dict | None = None
 
 
 def _shm_payload(
-    state: _ShmState, epoch: _ShmEpoch, old_epoch: _ShmEpoch | None,
+    inputs: _ShmInputs, epoch: _ShmEpoch, old_epoch: _ShmEpoch | None,
     options: BvhBuildOptions,
 ) -> dict:
-    if epoch.payload is None:
-        epoch.payload = {
-            "prim_mins": state.prim_mins,
-            "prim_maxs": state.prim_maxs,
-            "grid": state.grid,
-            "bucket": state.bucket,
-            "stream": epoch.stream,
-            "scratch": epoch.scratch,
-            "out": epoch.out,
-            "old_stream": old_epoch.stream if old_epoch is not None else None,
-            "old_scratch": old_epoch.scratch if old_epoch is not None else None,
-            "bits": options.morton_bits,
-            "shard_bits": options.shard_bits,
-            "shards": 1 << options.shard_bits,
-            "options": options,
-        }
-    return epoch.payload
+    return {
+        "prim_mins": inputs.prim_mins,
+        "prim_maxs": inputs.prim_maxs,
+        "grid": inputs.grid,
+        "bucket": epoch.bucket,
+        "stream": epoch.stream,
+        "scratch": epoch.scratch,
+        "out": epoch.out,
+        "old_stream": old_epoch.stream if old_epoch is not None else None,
+        "old_scratch": old_epoch.scratch if old_epoch is not None else None,
+        "bits": options.morton_bits,
+        "shard_bits": options.shard_bits,
+        "shards": 1 << options.shard_bits,
+        "options": options,
+    }
 
 
 class _ShmExecutor:
     """Task runner over the fork-inherited shared payload.
 
-    One pool serves every pass of a build (the payload is inherited at fork;
-    writes made by the parent *after* the fork are still visible — the blocks
-    are MAP_SHARED).  Falls back to in-process execution when ``workers == 1``
-    or fork is unavailable, running the very same task functions, which is
-    what makes results bit-identical across worker counts by construction.
-    Tracks honest pickle-channel accounting: descriptors are the only traffic.
+    One pool serves every pass of a call (the payload is inherited at fork;
+    writes made by the parent *after* the fork are still visible — the
+    mappings are shared).  Falls back to in-process execution when
+    ``workers == 1`` or fork is unavailable, running the very same task
+    functions, which is what makes results bit-identical across worker
+    counts by construction.  Tracks honest pickle-channel accounting:
+    descriptors are the only traffic.
     """
 
     def __init__(self, payload: dict, workers: int):
         global _SHM_PAYLOAD
         _SHM_PAYLOAD = payload
-        self.workers_requested = workers
         self.pool = None
         self.pool_size = 1
         self.tasks = 0
@@ -1111,6 +469,21 @@ def _shm_chunk_scatter(task: tuple) -> None:
     return None
 
 
+def _quantize(
+    executor: _ShmExecutor, n: int, options: BvhBuildOptions
+) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]], np.ndarray]:
+    """Scene bounds, then the grid and bucket of every row, as chunked
+    passes; returns ``(lo, hi, chunks, per-chunk bucket counts)``."""
+    chunks = _chunk_ranges(n, options.workers)
+    parts = executor.run(_shm_chunk_centroid_bounds, chunks)
+    lo = np.minimum.reduce([part[0] for part in parts])
+    hi = np.maximum.reduce([part[1] for part in parts])
+    chunk_counts = np.stack(
+        executor.run(_shm_chunk_quantize, [(a, b, lo, hi) for a, b in chunks])
+    )
+    return lo, hi, chunks, chunk_counts
+
+
 class _ShmShardTask(NamedTuple):
     """Round-1 descriptor: everything a worker needs to place one bucket.
 
@@ -1195,7 +568,7 @@ def _shm_round2(task: _ShmStitchTask) -> None:
     # Child pointers rebase by the same base for every row (the root's
     # children are local 1/2 -> base+1/base+2, matching its global rank);
     # only leaves reference the primitive stream, inner nodes keep the
-    # builder's zero placeholder — exactly the fork stitcher's formulas.
+    # builder's zero placeholder.
     g_left = np.where(inner, left + task.base, -1)
     g_right = np.where(inner, right + task.base, -1)
     g_first = np.where(inner, first, first + task.stream_start)
@@ -1261,7 +634,7 @@ def _walk_top_numbering(
 
 
 def _shm_finalize(
-    state: _ShmState,
+    inputs: _ShmInputs,
     epoch: _ShmEpoch,
     executor: _ShmExecutor,
     plan: _TopPlan,
@@ -1270,7 +643,7 @@ def _shm_finalize(
 ) -> Bvh:
     """Rounds 2+3: rebase shard sub-trees into the final layout (parallel)
     and fill the O(shards) top-level rows (parent), then wrap the out views
-    as the stitched ``Bvh`` — bit-identical to the fork stitcher's output."""
+    as the stitched ``Bvh`` — bit-identical to the single-tree build."""
     entry_gid, shard_base, shard_root, num_nodes = _walk_top_numbering(
         plan, epoch.node_count
     )
@@ -1307,8 +680,8 @@ def _shm_finalize(
         out["right"][gid] = -1
         out["first_prim"][gid] = stream_lo
         out["prim_count"][gid] = count
-        out["node_mins"][gid] = state.prim_mins[gathered].min(axis=0).astype(np.float32)
-        out["node_maxs"][gid] = state.prim_maxs[gathered].max(axis=0).astype(np.float32)
+        out["node_mins"][gid] = inputs.prim_mins[gathered].min(axis=0).astype(np.float32)
+        out["node_maxs"][gid] = inputs.prim_maxs[gathered].max(axis=0).astype(np.float32)
     for index in range(len(plan.entries) - 1, -1, -1):
         entry = plan.entries[index]
         if entry[0] != "inner":
@@ -1338,9 +711,6 @@ def _shm_finalize(
         num_primitives=n,
         options=options,
     )
-    # The stitched Bvh is the longest-lived consumer of the epoch blocks
-    # (epoch snapshots pin it); unlink their names when it is collected.
-    epoch.arena.attach_finalizer(bvh)
     bvh.build_stats = {
         "builder": options.builder,
         "num_primitives": n,
@@ -1356,7 +726,7 @@ def _shm_finalize(
 def _shm_shard_views(
     epoch: _ShmEpoch, plan: _TopPlan, counts: np.ndarray, options: BvhBuildOptions
 ) -> dict[int, Bvh]:
-    """Shard sub-trees as views into the epoch's scratch blocks (no copy)."""
+    """Shard sub-trees as views into the epoch's scratch arrays (no copy)."""
     trees: dict[int, Bvh] = {}
     for bucket in plan.delegated:
         m = epoch.node_count[bucket]
@@ -1376,319 +746,357 @@ def _shm_shard_views(
     return trees
 
 
-def _shm_shard_rows(epoch: _ShmEpoch, counts: np.ndarray) -> dict[int, np.ndarray]:
-    return {
-        bucket: epoch.stream[start : start + int(counts[bucket])]
-        for bucket, start in epoch.stream_start.items()
-    }
-
-
-def _build_forest_shm(
-    primitive_buffer: PrimitiveBuffer, options: BvhBuildOptions
+def _shm_forest(
+    inputs: _ShmInputs,
+    epoch: _ShmEpoch,
+    executor: _ShmExecutor,
+    plan: _TopPlan,
+    counts: np.ndarray,
+    scene: tuple[np.ndarray, np.ndarray],
+    options: BvhBuildOptions,
+    t0: float,
 ) -> BvhForest:
-    """Full forest build on the shm backend; see the section comment above."""
+    """Stitch the placed shards and wrap the epoch as a :class:`BvhForest`."""
+    n = int(epoch.stream.shape[0])
+    bvh = _shm_finalize(inputs, epoch, executor, plan, options, n)
+    return BvhForest(
+        bvh=bvh,
+        options=options,
+        num_primitives=n,
+        scene_lo=scene[0],
+        scene_hi=scene[1],
+        bucket_of_row=epoch.bucket,
+        shard_ids=np.flatnonzero(counts),
+        shard_rows={
+            bucket: epoch.stream[start : start + int(counts[bucket])]
+            for bucket, start in epoch.stream_start.items()
+        },
+        shard_trees=_shm_shard_views(epoch, plan, counts, options),
+        workers_used=executor.pool_size,
+        built_shards=len(plan.delegated),
+        _top_node_count=len(plan.entries),
+        telemetry=BuildTelemetry(
+            workers_requested=options.workers,
+            workers_used=executor.pool_size,
+            shards=1 << options.shard_bits,
+            delegated_shards=len(plan.delegated),
+            bytes_shared=inputs.arena.total_bytes + epoch.arena.total_bytes,
+            bytes_pickled=executor.bytes_pickled,
+            tasks=executor.tasks,
+            wall_seconds=time.perf_counter() - t0,
+        ),
+        _epoch=epoch,
+    )
+
+
+def _plan(counts: np.ndarray, options: BvhBuildOptions) -> tuple[np.ndarray, _TopPlan]:
+    """Non-empty bucket ids and the top-level plan over their counts."""
+    shard_vals = np.flatnonzero(counts)
+    plan = plan_top_level(
+        shard_vals.astype(np.uint64), counts[shard_vals], options.max_leaf_size
+    )
+    return shard_vals, plan
+
+
+def _build_all(
+    inputs: _ShmInputs,
+    epoch: _ShmEpoch,
+    executor: _ShmExecutor,
+    options: BvhBuildOptions,
+    scene: tuple[np.ndarray, np.ndarray],
+    chunks: list[tuple[int, int]],
+    chunk_counts: np.ndarray,
+    t0: float,
+) -> BvhForest:
+    """Group, sort and build every shard of a quantised input."""
+    counts = chunk_counts.sum(axis=0)
+    starts = np.cumsum(counts) - counts
+    chunk_offsets = starts[None, :] + np.cumsum(chunk_counts, axis=0) - chunk_counts
+    executor.run(
+        _shm_chunk_scatter,
+        [(a, b, chunk_offsets[i]) for i, (a, b) in enumerate(chunks)],
+    )
+    shard_vals, plan = _plan(counts, options)
+    delegated = set(plan.delegated)
+    tasks = []
+    for bucket in shard_vals.tolist():
+        start = int(starts[bucket])
+        epoch.stream_start[bucket] = start
+        epoch.scratch_off[bucket] = 2 * start
+        tasks.append(
+            _ShmShardTask(
+                bucket=bucket,
+                start=start,
+                count=int(counts[bucket]),
+                needs_sort=True,
+                build_tree=bucket in delegated,
+                scratch_off=2 * start,
+                old_start=-1,
+                old_scratch_off=-1,
+                old_node_count=0,
+            )
+        )
+    for bucket, node_count in executor.run(_shm_round1, tasks):
+        if node_count:
+            epoch.node_count[bucket] = node_count
+    return _shm_forest(inputs, epoch, executor, plan, counts, scene, options, t0)
+
+
+# --------------------------------------------------------------------------- #
+# build, persist/restore, delta update
+# --------------------------------------------------------------------------- #
+
+
+def build_forest(
+    primitive_buffer: PrimitiveBuffer, options: BvhBuildOptions | None = None
+) -> BvhForest:
+    """Build a sharded BVH forest over all primitives of ``primitive_buffer``.
+
+    Requires ``options.shard_bits >= 1`` and the ``"lbvh"`` builder; the
+    stitched ``forest.bvh`` is bit-identical to the single-tree
+    :func:`repro.rtx.bvh.build_bvh` with the same options minus sharding.
+    """
+    options = options or BvhBuildOptions(shard_bits=4)
+    options.validate()
+    if options.shard_bits < 1:
+        raise ValueError("build_forest requires shard_bits >= 1")
     t0 = time.perf_counter()
     n = len(primitive_buffer)
     if n == 0:
         raise ValueError("cannot build a BVH forest over zero primitives")
-    num_buckets = 1 << options.shard_bits
-    state = _ShmState(n)
+    inputs = _ShmInputs(primitive_buffer, n)
     epoch = _ShmEpoch(n)
-    executor = None
+    executor = _ShmExecutor(_shm_payload(inputs, epoch, None, options), options.workers)
     try:
-        write_aabbs_into(primitive_buffer, state.prim_mins, state.prim_maxs)
-        executor = _ShmExecutor(_shm_payload(state, epoch, None, options), options.workers)
-
-        chunks = _chunk_ranges(n, options.workers)
-        parts = executor.run(_shm_chunk_centroid_bounds, chunks)
-        lo = np.minimum.reduce([part[0] for part in parts])
-        hi = np.maximum.reduce([part[1] for part in parts])
-        chunk_counts = np.stack(
-            executor.run(_shm_chunk_quantize, [(a, b, lo, hi) for a, b in chunks])
+        lo, hi, chunks, chunk_counts = _quantize(executor, n, options)
+        return _build_all(
+            inputs, epoch, executor, options, (lo, hi), chunks, chunk_counts, t0
         )
+    finally:
+        executor.close()
+
+
+def forest_state_segments(forest: BvhForest):
+    """Yield ``(bucket, arrays, meta)`` per non-empty shard — the persisted
+    form of a forest.
+
+    Only the per-shard *sort outputs* (global rows in code order) and
+    *build outputs* (sub-tree arrays, for delegated buckets) are persisted.
+    Everything else a :class:`BvhForest` carries — the Morton grid, the
+    bucket partition, the top-level plan and the stitched global tree — is
+    a cheap deterministic pass over the key column and is recomputed at
+    load time by :func:`forest_from_saved`, which keeps an incremental save
+    after a delta update proportional to the dirty shards instead of O(n).
+    """
+    for bucket in sorted(forest.shard_rows):
+        arrays: dict[str, np.ndarray] = {
+            "rows": np.ascontiguousarray(forest.shard_rows[bucket], dtype=np.int64)
+        }
+        tree = forest.shard_trees.get(bucket)
+        meta = {"bucket": int(bucket), "delegated": tree is not None}
+        if tree is not None:
+            for name in BVH_ARRAY_FIELDS:
+                arrays[name] = np.ascontiguousarray(getattr(tree, name))
+        yield bucket, arrays, meta
+
+
+def forest_from_saved(
+    primitive_buffer: PrimitiveBuffer,
+    options: BvhBuildOptions,
+    shard_rows: dict[int, np.ndarray],
+    shard_tree_arrays: dict[int, dict[str, np.ndarray]],
+) -> BvhForest:
+    """Rebuild a :class:`BvhForest` from persisted shard state.
+
+    Recomputes the grid, bucket partition and top-level plan from the
+    primitive buffer (deterministic, so they match the saved build
+    exactly), copies the persisted rows and sub-trees into a fresh epoch,
+    and stitches — the resulting ``forest.bvh`` is bit-identical to the
+    tree that was saved, and the forest delta-updates incrementally like a
+    freshly built one.  The O(n log n) per-shard sorts and the per-shard
+    tree builds — the expensive parts — are exactly what the persisted
+    state skips.
+    """
+    options.validate()
+    t0 = time.perf_counter()
+    n = len(primitive_buffer)
+    if n == 0:
+        raise ValueError("cannot restore a BVH forest over zero primitives")
+    inputs = _ShmInputs(primitive_buffer, n)
+    epoch = _ShmEpoch(n)
+    # Nothing left to sort or build, so the passes run in-process.
+    executor = _ShmExecutor(_shm_payload(inputs, epoch, None, options), 1)
+    try:
+        lo, hi, _, chunk_counts = _quantize(executor, n, options)
         counts = chunk_counts.sum(axis=0)
         starts = np.cumsum(counts) - counts
-        chunk_offsets = starts[None, :] + np.cumsum(chunk_counts, axis=0) - chunk_counts
-        executor.run(
-            _shm_chunk_scatter,
-            [(a, b, chunk_offsets[i]) for i, (a, b) in enumerate(chunks)],
-        )
+        shard_vals, plan = _plan(counts, options)
 
-        shard_vals = np.flatnonzero(counts).astype(np.uint64)
-        shard_counts = counts[shard_vals.astype(np.int64)]
-        plan = plan_top_level(shard_vals, shard_counts, options.max_leaf_size)
-        delegated = set(plan.delegated)
-
-        tasks = []
-        for bucket in shard_vals.astype(np.int64).tolist():
+        saved = {int(b) for b in shard_rows}
+        expected = set(shard_vals.tolist())
+        if saved != expected:
+            raise ValueError(
+                "persisted shard set does not match the Morton partition recomputed "
+                f"from the key column (saved {sorted(saved)[:8]}..., "
+                f"expected {sorted(expected)[:8]}...)"
+            )
+        if {int(b) for b in shard_tree_arrays} != set(plan.delegated):
+            raise ValueError(
+                "persisted delegated-shard set does not match the recomputed "
+                "top-level plan"
+            )
+        rows = {int(b): r for b, r in shard_rows.items()}
+        for bucket in shard_vals.tolist():
             start = int(starts[bucket])
+            epoch.stream[start : start + int(counts[bucket])] = rows[bucket]
             epoch.stream_start[bucket] = start
             epoch.scratch_off[bucket] = 2 * start
-            tasks.append(
-                _ShmShardTask(
-                    bucket=bucket,
-                    start=start,
-                    count=int(counts[bucket]),
-                    needs_sort=True,
-                    build_tree=bucket in delegated,
-                    scratch_off=2 * start,
-                    old_start=-1,
-                    old_scratch_off=-1,
-                    old_node_count=0,
-                )
-            )
-        for bucket, node_count in executor.run(_shm_round1, tasks):
-            if node_count:
-                epoch.node_count[bucket] = node_count
-
-        bvh = _shm_finalize(state, epoch, executor, plan, options, n)
-        return BvhForest(
-            bvh=bvh,
-            options=options,
-            num_primitives=n,
-            scene_lo=lo,
-            scene_hi=hi,
-            # A live view into the state block: delta updates snapshot the old
-            # values of rows they overwrite, so no O(n) copy per epoch.
-            bucket_of_row=state.bucket,
-            shard_ids=shard_vals.astype(np.int64),
-            shard_rows=_shm_shard_rows(epoch, counts),
-            shard_trees=_shm_shard_views(epoch, plan, counts, options),
-            workers_used=executor.pool_size,
-            built_shards=len(delegated),
-            _top_node_count=len(plan.entries),
-            telemetry=BuildTelemetry(
-                backend="shm",
-                workers_requested=options.workers,
-                workers_used=executor.pool_size,
-                shards=num_buckets,
-                delegated_shards=len(delegated),
-                bytes_shared=state.arena.total_bytes + epoch.arena.total_bytes,
-                bytes_pickled=executor.bytes_pickled,
-                tasks=executor.tasks,
-                wall_seconds=time.perf_counter() - t0,
-            ),
-            _shm_state=state,
-            _shm_epoch=epoch,
+        for bucket, arrays in shard_tree_arrays.items():
+            off = epoch.scratch_off[int(bucket)]
+            m = int(arrays["left"].shape[0])
+            for name, scratch in epoch.scratch.items():
+                scratch[off : off + m] = arrays[name]
+            epoch.node_count[int(bucket)] = m
+        forest = _shm_forest(
+            inputs, epoch, executor, plan, counts, (lo, hi), options, t0
         )
-    except BaseException:
-        # Worker exception (or any mid-build failure): unlink every block
-        # created for this call before the views escape.
-        epoch.arena.release()
-        state.arena.release()
-        raise
     finally:
-        if executor is not None:
-            executor.close()
+        executor.close()
+    forest.telemetry = None  # a restore builds nothing
+    return forest
 
 
-def _delta_update_forest_shm(
+def delta_update_forest(
     forest: BvhForest,
     old_buffer: PrimitiveBuffer,
     new_buffer: PrimitiveBuffer,
 ) -> tuple[BvhForest, DeltaUpdateStats]:
-    """Delta update on the shm backend: reuse the persistent input blocks so
-    only changed rows rewrite, and copy clean shards (rows and sub-trees)
-    from the old epoch's blocks into the new epoch on the worker pool."""
+    """Bring a forest up to date with moved/added/removed primitives.
+
+    Only shards whose primitive membership or geometry changed are re-sorted
+    and rebuilt; clean shards copy their sorted rows and sub-trees forward
+    from the old epoch (rebased into the new stream during stitching).
+    Returns the updated forest — whose ``bvh`` is bit-identical to a
+    from-scratch build over ``new_buffer`` — plus statistics of the work
+    performed.  A no-op update (nothing changed) returns the original forest
+    untouched.
+    """
     t0 = time.perf_counter()
     options = forest.options
     num_buckets = 1 << options.shard_bits
-
     n_new = len(new_buffer)
     if n_new == 0:
         raise ValueError("cannot delta-update a forest to zero primitives")
-
-    def _full_rebuild(rescaled: bool) -> tuple[BvhForest, DeltaUpdateStats]:
-        rebuilt = build_forest(new_buffer, options)
-        stats = DeltaUpdateStats(
-            total_shards=num_buckets,
-            non_empty_shards=rebuilt.non_empty_shards,
-            dirty_shards=rebuilt.non_empty_shards,
-            rebuilt_trees=rebuilt.built_shards,
-            dirty_keys=n_new,
-            total_keys=n_new,
-            rescaled=rescaled,
-        )
-        return rebuilt, stats
-
-    state: _ShmState | None = forest._shm_state
-    old_epoch: _ShmEpoch | None = forest._shm_epoch
-    if state is None or old_epoch is None:
-        # Recovery path: a previous delta failed and dropped the cached
-        # blocks, so nothing incremental can be trusted.
-        return _full_rebuild(rescaled=False)
-
-    new_mins, new_maxs = new_buffer.compute_aabbs()
-    new_mins = new_mins.astype(np.float64)
-    new_maxs = new_maxs.astype(np.float64)
-    centroids = 0.5 * (new_mins + new_maxs)
-    lo = centroids.min(axis=0)
-    hi = centroids.max(axis=0)
-    if not (
-        np.array_equal(lo, forest.scene_lo) and np.array_equal(hi, forest.scene_hi)
-    ):
-        return _full_rebuild(rescaled=True)
-
-    n_old = forest.num_primitives
-    common = min(n_old, n_new)
-    changed = (new_mins[:common] != state.prim_mins[:common]).any(axis=1)
-    changed |= (new_maxs[:common] != state.prim_maxs[:common]).any(axis=1)
-    changed_idx = np.flatnonzero(changed)
-    # Snapshot the old buckets of the rows about to be overwritten (the state
-    # block itself holds the previous epoch's values until we write it).
-    old_changed_buckets = state.bucket[changed_idx]
-
-    dirty = np.zeros(num_buckets, dtype=bool)
-    dirty[old_changed_buckets] = True
-    if n_old > common:
-        dirty[state.bucket[common:n_old]] = True
-
-    resized = n_new != state.n
-    if not resized and changed_idx.size == 0 and not dirty.any():
-        return forest, DeltaUpdateStats(
-            total_shards=num_buckets,
-            non_empty_shards=forest.non_empty_shards,
-            dirty_shards=0,
-            rebuilt_trees=0,
-            dirty_keys=0,
-            total_keys=n_new,
-            noop=True,
-        )
-
-    if resized:
-        target = _ShmState(n_new)
-        write_aabbs_into(new_buffer, target.prim_mins, target.prim_maxs)
-        target.grid[:common] = state.grid[:common]
-        target.bucket[:common] = state.bucket[:common]
-    else:
-        target = state
-        if changed_idx.size:
-            target.prim_mins[changed_idx] = new_mins[changed_idx]
-            target.prim_maxs[changed_idx] = new_maxs[changed_idx]
-
-    appended = np.arange(common, n_new, dtype=np.int64)
-    recompute_idx = (
-        np.concatenate([changed_idx, appended]) if appended.size else changed_idx
-    )
-    if recompute_idx.size:
-        # The grid is fixed (bounds unchanged), so re-quantising only the
-        # changed/appended rows is bit-identical to the full pass.
-        grid_rows = quantize_points_to_grid(
-            centroids[recompute_idx], lo, hi, options.morton_bits
-        )
-        bucket_rows = morton_prefix_buckets(
-            grid_rows, options.morton_bits, options.shard_bits
-        )
-        target.grid[recompute_idx] = grid_rows
-        target.bucket[recompute_idx] = bucket_rows
-        dirty[bucket_rows] = True
-
-    counts = np.bincount(target.bucket, minlength=num_buckets)
-    shard_vals = np.flatnonzero(counts).astype(np.uint64)
-    shard_counts = counts[shard_vals.astype(np.int64)]
-    dirty_ids = np.flatnonzero(dirty)
-
-    plan = plan_top_level(shard_vals, shard_counts, options.max_leaf_size)
-    delegated = set(plan.delegated)
-    starts = np.cumsum(counts) - counts
-
+    old_epoch: _ShmEpoch = forest._epoch
+    inputs = _ShmInputs(new_buffer, n_new)
     epoch = _ShmEpoch(n_new)
-    executor = None
+    executor = _ShmExecutor(
+        _shm_payload(inputs, epoch, old_epoch, options), options.workers
+    )
     try:
-        executor = _ShmExecutor(
-            _shm_payload(target, epoch, old_epoch, options), options.workers
-        )
+        lo, hi, chunks, chunk_counts = _quantize(executor, n_new, options)
+        if not (
+            np.array_equal(lo, forest.scene_lo) and np.array_equal(hi, forest.scene_hi)
+        ):
+            # The global grid moved: every Morton code is re-quantised, so no
+            # shard content can be trusted.
+            rebuilt = _build_all(
+                inputs, epoch, executor, options, (lo, hi), chunks, chunk_counts, t0
+            )
+            return rebuilt, DeltaUpdateStats(
+                total_shards=num_buckets,
+                non_empty_shards=rebuilt.non_empty_shards,
+                dirty_shards=rebuilt.non_empty_shards,
+                rebuilt_trees=rebuilt.built_shards,
+                dirty_keys=n_new,
+                total_keys=n_new,
+                rescaled=True,
+            )
+
+        old_mins, old_maxs = old_buffer.compute_aabbs()
+        old_bucket = forest.bucket_of_row
+        bucket = epoch.bucket
+        common = min(forest.num_primitives, n_new)
+        changed = (inputs.prim_mins[:common] != old_mins[:common]).any(axis=1)
+        changed |= (inputs.prim_maxs[:common] != old_maxs[:common]).any(axis=1)
+        dirty = np.zeros(num_buckets, dtype=bool)
+        dirty[old_bucket[:common][changed]] = True
+        dirty[bucket[:common][changed]] = True
+        dirty[old_bucket[common:]] = True
+        dirty[bucket[common:]] = True
+        dirty_ids = np.flatnonzero(dirty)
+        if dirty_ids.size == 0:
+            return forest, DeltaUpdateStats(
+                total_shards=num_buckets,
+                non_empty_shards=forest.non_empty_shards,
+                dirty_shards=0,
+                rebuilt_trees=0,
+                dirty_keys=0,
+                total_keys=n_new,
+                noop=True,
+            )
+
+        counts = chunk_counts.sum(axis=0)
+        starts = np.cumsum(counts) - counts
+        shard_vals, plan = _plan(counts, options)
+        delegated = set(plan.delegated)
 
         # Parent scatters the dirty buckets' rows into their new stream
         # slices (O(dirty keys)); clean buckets are copied by the workers.
-        dirty_rows = np.flatnonzero(dirty[target.bucket])
-        grouped = dirty_rows[np.argsort(target.bucket[dirty_rows], kind="stable")]
-        group_counts = np.bincount(target.bucket[dirty_rows], minlength=num_buckets)
+        dirty_rows = np.flatnonzero(dirty[bucket])
+        grouped = dirty_rows[np.argsort(bucket[dirty_rows], kind="stable")]
+        group_counts = np.bincount(bucket[dirty_rows], minlength=num_buckets)
         pos = 0
-        for bucket in np.flatnonzero(group_counts).tolist():
-            count = int(group_counts[bucket])
-            start = int(starts[bucket])
+        for b in np.flatnonzero(group_counts).tolist():
+            count = int(group_counts[b])
+            start = int(starts[b])
             epoch.stream[start : start + count] = grouped[pos : pos + count]
             pos += count
 
         tasks = []
         rebuilt_trees = 0
-        for bucket in shard_vals.astype(np.int64).tolist():
-            start = int(starts[bucket])
-            count = int(counts[bucket])
-            epoch.stream_start[bucket] = start
-            epoch.scratch_off[bucket] = 2 * start
-            if dirty[bucket]:
+        for b in shard_vals.tolist():
+            start = int(starts[b])
+            count = int(counts[b])
+            epoch.stream_start[b] = start
+            epoch.scratch_off[b] = 2 * start
+            if dirty[b]:
                 tasks.append(
                     _ShmShardTask(
-                        bucket, start, count, True, bucket in delegated,
-                        2 * start, -1, -1, 0,
+                        b, start, count, True, b in delegated, 2 * start, -1, -1, 0
                     )
                 )
-                if bucket in delegated:
-                    rebuilt_trees += 1
+                rebuilt_trees += b in delegated
                 continue
-            old_start = old_epoch.stream_start[bucket]
-            if bucket in delegated and bucket in old_epoch.node_count:
+            old_start = old_epoch.stream_start[b]
+            if b in delegated and b in old_epoch.node_count:
                 # Clean shard with a live sub-tree: copy rows + tree forward
                 # so the new epoch is self-contained.
                 tasks.append(
                     _ShmShardTask(
-                        bucket, start, count, False, False, 2 * start,
-                        old_start, old_epoch.scratch_off[bucket],
-                        old_epoch.node_count[bucket],
+                        b, start, count, False, False, 2 * start,
+                        old_start, old_epoch.scratch_off[b], old_epoch.node_count[b],
                     )
                 )
-            elif bucket in delegated:
-                # Clean but newly delegated (was absorbed into a mixed leaf):
-                # rows are still sorted, only the tree must be built.
-                tasks.append(
-                    _ShmShardTask(
-                        bucket, start, count, False, True, 2 * start,
-                        old_start, -1, 0,
-                    )
-                )
-                rebuilt_trees += 1
             else:
+                # Clean rows are still sorted; a bucket the new plan newly
+                # delegates (it was absorbed into a mixed leaf) also needs
+                # its tree built.
                 tasks.append(
                     _ShmShardTask(
-                        bucket, start, count, False, False, 2 * start,
+                        b, start, count, False, b in delegated, 2 * start,
                         old_start, -1, 0,
                     )
                 )
-        for bucket, node_count in executor.run(_shm_round1, tasks):
+                rebuilt_trees += b in delegated
+        for b, node_count in executor.run(_shm_round1, tasks):
             if node_count:
-                epoch.node_count[bucket] = node_count
+                epoch.node_count[b] = node_count
 
-        bvh = _shm_finalize(target, epoch, executor, plan, options, n_new)
-        updated = BvhForest(
-            bvh=bvh,
-            options=options,
-            num_primitives=n_new,
-            scene_lo=lo,
-            scene_hi=hi,
-            bucket_of_row=target.bucket,
-            shard_ids=shard_vals.astype(np.int64),
-            shard_rows=_shm_shard_rows(epoch, counts),
-            shard_trees=_shm_shard_views(epoch, plan, counts, options),
-            workers_used=executor.pool_size,
-            built_shards=len(delegated),
-            _top_node_count=len(plan.entries),
-            telemetry=BuildTelemetry(
-                backend="shm",
-                workers_requested=options.workers,
-                workers_used=executor.pool_size,
-                shards=num_buckets,
-                delegated_shards=len(delegated),
-                bytes_shared=target.arena.total_bytes + epoch.arena.total_bytes,
-                bytes_pickled=executor.bytes_pickled,
-                tasks=executor.tasks,
-                wall_seconds=time.perf_counter() - t0,
-            ),
-            _shm_state=target,
-            _shm_epoch=epoch,
+        updated = _shm_forest(
+            inputs, epoch, executor, plan, counts, (lo, hi), options, t0
         )
-        stats = DeltaUpdateStats(
+        return updated, DeltaUpdateStats(
             total_shards=num_buckets,
             non_empty_shards=updated.non_empty_shards,
             dirty_shards=int(dirty_ids.size),
@@ -1696,17 +1104,5 @@ def _delta_update_forest_shm(
             dirty_keys=int(dirty_rows.size),
             total_keys=n_new,
         )
-        return updated, stats
-    except BaseException:
-        epoch.arena.release()
-        if resized:
-            target.arena.release()
-        else:
-            # In-place state writes may have landed partially; drop the
-            # cached blocks so the next update falls back to a full rebuild.
-            forest._shm_state = None
-            forest._shm_epoch = None
-        raise
     finally:
-        if executor is not None:
-            executor.close()
+        executor.close()

@@ -48,9 +48,8 @@ def quantize_points_to_grid(
 
     Row-independent (each point's cell depends only on that point and the
     fixed bounds), so any row subset or chunk quantises to exactly the cells
-    the full pass would assign — the property the shm build backend relies on
-    to split this pass across workers and to re-quantise only changed rows
-    during delta updates.
+    the full pass would assign — the property the forest build relies on
+    to split this pass across workers.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     extent = np.where(hi - lo > 0, hi - lo, 1.0)

@@ -1,151 +1,54 @@
-"""Shared-memory block lifecycle for the zero-copy build backend.
+"""Anonymous shared memory for the forest build.
 
-The shm build backend (:mod:`repro.rtx.forest` with
-``BvhBuildOptions.backend == "shm"``) moves every large build array —
-primitive bounds, Morton grid, bucket ids, the primitive stream, the
-per-shard scratch trees and the final node arrays — into
-``multiprocessing.shared_memory`` blocks.  Worker processes inherit numpy
-views of the blocks through fork and read/write them in place, so a task
-descriptor is the only thing that ever crosses the pool's pickle channel.
+The forest build (:mod:`repro.rtx.forest`) places every large array it
+shares with its pool workers — primitive bounds, Morton grid, bucket ids,
+the primitive stream, the per-shard scratch trees and the final node arrays
+— in anonymous shared mappings (``mmap.mmap(-1, nbytes)``, i.e.
+``MAP_SHARED | MAP_ANONYMOUS``).  Workers forked after the allocation
+inherit the mappings, so they read and write the parent's pages in place and
+a task descriptor is the only thing that crosses the pool's pickle channel.
 
-Lifetime rules (the part that is easy to get wrong):
-
-* A block's **name** (its ``/dev/shm`` entry) is removed by ``unlink()``;
-  the **mapping** stays valid until every process that mapped it exits or
-  drops its references.  Views handed out by an arena therefore survive an
-  unlink — which is exactly what epoch snapshots need: the serving layer
-  pins a ``Bvh`` whose arrays are shm views long after the forest that
-  built them was replaced.
-* A numpy view created over ``SharedMemory.buf`` keeps the underlying
-  ``mmap`` *object* alive (it becomes the view's base) but holds **no**
-  PEP-3118 export on it — so ``SharedMemory.close()`` (including the one
-  ``__del__`` runs when the block object is collected) would silently
-  ``munmap`` under live views and turn every later array access into a
-  segfault.  :meth:`ShmArena.allocate` therefore *detaches* the mapping
-  from the block right after creating the view: the mapping's lifetime
-  becomes exactly the views' lifetime (the ``mmap`` unmaps itself when
-  the last view is collected), and ``close()`` shrinks to a descriptor
-  close that is safe at any time.
-* Owners attach a :func:`weakref.finalize`-based release to the object
-  whose lifetime governs the blocks (the stitched ``Bvh`` for per-epoch
-  blocks, the build state for the persistent input blocks), so normal
-  garbage collection unlinks everything without explicit calls.  Error
-  paths (worker exception mid-build) release eagerly instead, leaving no
-  ``/dev/shm`` entry behind — :func:`live_block_names` exposes the
-  registry the leak tests probe.
+An anonymous mapping has no name.  Nothing appears in ``/dev/shm``, and the
+kernel frees the pages once the last process that maps them unmaps them or
+exits, so a build that raises, or a process that is SIGKILLed mid-build,
+leaves nothing behind to clean up.  Within a process, a numpy view holds a
+buffer export on its ``mmap`` object: the mapping lives exactly as long as
+the arrays over it, which is what lets an epoch snapshot keep a pinned
+``Bvh`` readable after the forest that built it is gone.
 """
 
 from __future__ import annotations
 
-import weakref
-from multiprocessing import shared_memory
+import mmap
 
 import numpy as np
 
-#: Names of every shm block this process created and has not yet unlinked.
-#: Purely diagnostic: the lifecycle tests assert it drains back to empty.
-_LIVE_NAMES: set[str] = set()
-
 
 def live_block_names() -> frozenset[str]:
-    """Names of the process's still-linked shm blocks (leak probe)."""
-    return frozenset(_LIVE_NAMES)
+    """Named shared-memory blocks this process holds (leak probe).
 
-
-def reclaim_block_names(names) -> int:
-    """Unlink leftover ``/dev/shm`` blocks by *name*; returns how many.
-
-    The abnormal-exit recovery path: a build process that is SIGKILLed
-    mid-build never runs its finalizers, so the blocks it created stay
-    linked in ``/dev/shm`` with no owner left alive.  A supervising parent
-    that knows the names (or sweeps a recorded list) reclaims them here.
-    Names that are already gone are skipped — the call is idempotent and
-    safe to run against a mix of live and dead entries.
+    Always empty: anonymous mappings never create a ``/dev/shm`` entry.
     """
-    removed = 0
-    for name in names:
-        try:
-            block = shared_memory.SharedMemory(name=name)
-        except FileNotFoundError:
-            continue
-        try:
-            block.unlink()
-            removed += 1
-        except FileNotFoundError:  # pragma: no cover - racing cleanup
-            pass
-        _LIVE_NAMES.discard(name)
-        block.close()
-    return removed
-
-
-def release_blocks(blocks: list[shared_memory.SharedMemory]) -> None:
-    """Unlink every block (idempotent) and close its file descriptor.
-
-    Safe to call multiple times and from :mod:`weakref` finalizers.  The
-    blocks were detached by :meth:`ShmArena.allocate`, so ``close()`` only
-    closes the descriptor — the mapping itself lives exactly as long as
-    the numpy views over it and is reclaimed when the last one is
-    collected.
-    """
-    for block in blocks:
-        try:
-            block.unlink()
-        except FileNotFoundError:
-            pass
-        _LIVE_NAMES.discard(block.name)
-        block.close()
+    return frozenset()
 
 
 class ShmArena:
-    """A group of shared-memory numpy arrays with one release point.
+    """A group of numpy arrays over anonymous shared mappings.
 
-    ``allocate`` creates one block per array and returns a zero-copy view;
-    the arena keeps the block objects alive so the views stay valid.  Call
-    :meth:`release` on error paths, or :meth:`attach_finalizer` to tie the
-    group's lifetime to an owner object (release runs when the owner is
-    garbage collected, and at interpreter shutdown at the latest).
+    ``allocate`` maps one region per array and returns a zero-copy view;
+    ``total_bytes`` is what the group shares with forked workers.  There is
+    no release step: the pages go when the last view does.
     """
 
-    def __init__(self, tag: str = "") -> None:
-        self.tag = tag
-        self.blocks: list[shared_memory.SharedMemory] = []
-        self.arrays: dict[str, np.ndarray] = {}
+    def __init__(self) -> None:
         self.total_bytes = 0
 
-    def allocate(self, name: str, shape, dtype) -> np.ndarray:
-        """Create one shm-backed array and return its view."""
-        if name in self.arrays:
-            raise ValueError(f"arena {self.tag!r} already holds {name!r}")
+    def allocate(self, shape, dtype) -> np.ndarray:
+        """Map one shared array of ``shape`` and ``dtype`` and return it."""
         shape = tuple(int(s) for s in (shape if np.iterable(shape) else (shape,)))
-        nbytes = max(int(np.prod(shape, dtype=np.int64)) * np.dtype(dtype).itemsize, 1)
-        block = shared_memory.SharedMemory(create=True, size=nbytes)
-        self.blocks.append(block)
-        _LIVE_NAMES.add(block.name)
-        array = np.ndarray(shape, dtype=dtype, buffer=block.buf)
-        # Detach the mapping from the block object (see the module
-        # docstring): the view's base chain holds the mmap object without
-        # a buffer export, so any later ``close()`` — explicit or from the
-        # block's ``__del__`` — would munmap under the view.  After this,
-        # the mmap is owned by the views alone and ``close()`` only closes
-        # the descriptor.
-        buf, block._buf = block._buf, None
-        buf.release()
-        block._mmap = None
-        self.arrays[name] = array
+        count = int(np.prod(shape, dtype=np.int64))
+        nbytes = count * np.dtype(dtype).itemsize
+        # A mapping cannot be empty; zero-size arrays view one spare byte.
+        region = mmap.mmap(-1, max(nbytes, 1))
         self.total_bytes += nbytes
-        return array
-
-    def names(self) -> list[str]:
-        return [block.name for block in self.blocks]
-
-    def release(self) -> None:
-        """Unlink every block now (error paths); idempotent."""
-        release_blocks(self.blocks)
-
-    def attach_finalizer(self, owner) -> None:
-        """Release the blocks when ``owner`` is garbage collected.
-
-        The finalizer captures only the block list (not the arena, not any
-        view), so it neither keeps the arrays alive nor runs early.
-        """
-        weakref.finalize(owner, release_blocks, self.blocks)
+        return np.frombuffer(region, dtype=dtype, count=count).reshape(shape)

@@ -105,6 +105,18 @@ class TestRXConfigValidation:
             RXConfig(max_rays_per_range=0).validate()
 
 
+    def test_legacy_build_backend_is_dropped_on_load(self):
+        config = RXConfig().with_delta_updates(shard_bits=4)
+        assert "build_backend" not in config.as_dict()
+        for legacy in ("fork", "shm"):
+            data = {**config.as_dict(), "build_backend": legacy}
+            assert RXConfig.from_dict(data) == config
+        with pytest.raises(ValueError, match="build_backend"):
+            RXConfig.from_dict({**config.as_dict(), "build_backend": "threads"})
+        with pytest.raises(TypeError):
+            RXConfig(build_backend="shm")
+
+
 class TestResilienceKnobValidation:
     def test_defaults_are_valid(self):
         config = RXConfig.paper_default()

@@ -16,6 +16,7 @@ Reseed with ``DIFF_SEED`` (env var) to explore a different case set.
 
 from __future__ import annotations
 
+import json
 import os
 
 import numpy as np
@@ -32,6 +33,7 @@ from repro.persist import (
     save_snapshot,
 )
 from repro.rtx.bvh import bvh_arrays_diff
+from repro.workloads import clustered_key_swaps, dense_shuffled_keys
 
 DIFF_SEED = int(os.environ.get("DIFF_SEED", "20260727"))
 
@@ -241,6 +243,52 @@ class TestDifferentialRoundtrip:
         index.update(new_keys)
         loaded.update(new_keys)
         assert bvh_arrays_diff(index.accel.bvh, loaded.accel.bvh) is None
+
+    def test_restored_forest_updates_only_dirty_shards(self, tmp_path):
+        # A restore must hand back a forest that delta-updates incrementally:
+        # a 32-swap update after an mmap load rebuilds a strict subset of the
+        # shards, and lookups equal a fresh build over the new keys.
+        keys = dense_shuffled_keys(4096, seed=DIFF_SEED)
+        index = RXIndex(RXConfig.paper_default().with_delta_updates(shard_bits=4))
+        index.build(keys)
+        index.save(tmp_path)
+        loaded = RXIndex.load(tmp_path, mmap=True)
+
+        new_keys = clustered_key_swaps(keys, 32, seed=DIFF_SEED)
+        outcome = loaded.update(new_keys)
+        assert not outcome.stats["noop"]
+        assert outcome.stats["dirty_shards"] < outcome.stats["non_empty_shards"]
+
+        fresh = RXIndex(RXConfig.paper_default())
+        fresh.build(new_keys)
+        assert bvh_arrays_diff(loaded.accel.bvh, fresh.accel.bvh) is None
+        queries = new_keys[:: new_keys.shape[0] // 256]
+        got, want = loaded.point_lookup(queries), fresh.point_lookup(queries)
+        assert np.array_equal(got.result_rows, want.result_rows)
+        assert np.array_equal(got.hits_per_lookup, want.hits_per_lookup)
+        assert got.stats["total_node_visits"] == want.stats["total_node_visits"]
+        lows = np.sort(queries)[:64]
+        got, want = loaded.range_lookup(lows, lows + 40), fresh.range_lookup(lows, lows + 40)
+        assert np.array_equal(got.hits_per_lookup, want.hits_per_lookup)
+        assert got.aggregate == want.aggregate
+
+    def test_snapshot_with_legacy_build_backend_loads(self, tmp_path):
+        # Snapshots saved while sharded builds had a "fork"/"shm" executor
+        # choice record it in the manifest's config; they must still load.
+        keys = dense_shuffled_keys(1024, seed=DIFF_SEED)
+        config = RXConfig.paper_default().with_delta_updates(shard_bits=4)
+        index = RXIndex(config)
+        index.build(keys)
+        index.save(tmp_path)
+        manifest_path = tmp_path / "MANIFEST.json"
+        manifest = json.loads(manifest_path.read_text())
+        assert "build_backend" not in manifest["index"]["config"]
+        manifest["index"]["config"]["build_backend"] = "fork"
+        manifest_path.write_text(json.dumps(manifest))
+
+        loaded = RXIndex.load(tmp_path, mmap=True)
+        assert loaded.config == config
+        assert bvh_arrays_diff(loaded.accel.bvh, index.accel.bvh) is None
 
     def test_stats_persist_block(self, tmp_path):
         rng = np.random.default_rng(DIFF_SEED)

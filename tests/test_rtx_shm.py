@@ -1,18 +1,22 @@
-"""Shared-memory build backend: block lifecycle and failure paths.
+"""Shared-memory forest build: mapping lifecycle and failure paths.
 
-The bit-identity of the shm backend's *output* is pinned by the forest suite
-(backend axis) and the differential harness; this suite pins the part no
-array comparison can see — that every ``/dev/shm`` block the backend creates
-is unlinked again, no matter how the build ends:
+The bit-identity of the forest build's *output* is pinned by the forest
+suite and the differential harness; this suite pins the part no array
+comparison can see — that the build's shared arrays are anonymous mappings
+that never leave a ``/dev/shm`` entry and are unmapped again, no matter how
+the build ends:
 
-* normal builds and delta chains drain back to zero live blocks once the
-  forests are garbage collected (epoch snapshots may pin the *mapping*, but
-  never the name),
-* a worker exception mid-build — serial or pooled — releases every block
-  eagerly before the error propagates (probed via ``SharedMemory`` name
-  reopening, which must raise ``FileNotFoundError``),
-* a failed delta update drops the cached state so the next update falls
-  back to a full rebuild, still bit-identical, still leak-free.
+* normal builds and delta chains drop every mapping once the forests are
+  garbage collected (epoch snapshots may pin a ``Bvh``'s arrays, and those
+  stay readable),
+* a worker exception mid-build — serial or pooled — or a failing stitch
+  releases every mapping the call made,
+* a SIGKILLed build process leaves nothing behind, with no cleanup step,
+* a failed delta update leaves the forest untouched and still
+  delta-updatable.
+
+Mappings are counted in ``/proc/self/maps``, where an anonymous shared
+mapping shows up as ``/dev/zero (deleted)``.
 """
 
 import gc
@@ -20,7 +24,6 @@ import multiprocessing
 import os
 import signal
 import time
-from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -42,13 +45,24 @@ def _points(n: int, seed: int = 0) -> np.ndarray:
 
 
 def _options(workers: int = 1, shard_bits: int = 4) -> BvhBuildOptions:
-    return BvhBuildOptions(shard_bits=shard_bits, workers=workers, backend="shm")
+    return BvhBuildOptions(shard_bits=shard_bits, workers=workers)
 
 
-def _assert_no_new_blocks(baseline: frozenset) -> None:
+def _dev_shm_entries() -> set[str]:
+    return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+
+
+def _shared_mappings() -> int:
+    """Anonymous shared mappings currently in this process's address space."""
+    with open("/proc/self/maps") as maps:
+        return sum(1 for line in maps if line.rstrip().endswith("/dev/zero (deleted)"))
+
+
+def _assert_released(mappings: int, entries: set[str]) -> None:
     gc.collect()
-    leaked = shm.live_block_names() - baseline
-    assert not leaked, f"leaked shm blocks: {sorted(leaked)}"
+    assert _shared_mappings() == mappings, "shared mappings outlived their arrays"
+    assert _dev_shm_entries() - entries == set(), "a /dev/shm entry appeared"
+    assert not shm.live_block_names()
 
 
 def _boom(task):
@@ -57,11 +71,12 @@ def _boom(task):
 
 
 def _killable_build(queue):
-    """Child-process target: start an shm build, report the live block
-    names mid-build, then stall so the parent can SIGKILL it."""
+    """Child-process target: start a build, report the ``/dev/shm`` entries
+    and the shared mappings mid-build, then stall so the parent can
+    SIGKILL it."""
 
     def report_and_stall(task):
-        queue.put(sorted(shm.live_block_names()))
+        queue.put((sorted(_dev_shm_entries()), _shared_mappings()))
         time.sleep(300)  # the parent kills us long before this expires
 
     forest_mod._shm_round1 = report_and_stall
@@ -70,14 +85,15 @@ def _killable_build(queue):
 
 class TestLifecycle:
     def test_blocks_drain_after_gc(self):
-        baseline = shm.live_block_names()
+        mappings, entries = _shared_mappings(), _dev_shm_entries()
         forest = build_forest(_buffer(_points(1500)), _options())
-        assert len(shm.live_block_names() - baseline) > 0
+        assert _shared_mappings() > mappings
+        assert _dev_shm_entries() == entries
         del forest
-        _assert_no_new_blocks(baseline)
+        _assert_released(mappings, entries)
 
     def test_delta_chain_drains_after_gc(self):
-        baseline = shm.live_block_names()
+        mappings, entries = _shared_mappings(), _dev_shm_entries()
         points = _points(2000, seed=1)
         buf = _buffer(points)
         forest = build_forest(buf, _options(shard_bits=6))
@@ -87,13 +103,12 @@ class TestLifecycle:
         updated, stats = delta_update_forest(forest, buf, new_buf)
         assert not stats.noop
         del forest, updated
-        _assert_no_new_blocks(baseline)
+        _assert_released(mappings, entries)
 
     def test_epoch_snapshot_outlives_the_forest(self):
-        # The serving layer pins a Bvh across updates: its shm-view arrays
-        # must stay readable after the owning forest (and even the block
-        # *names*) are gone.
-        baseline = shm.live_block_names()
+        # The serving layer pins a Bvh across updates: its shared arrays
+        # must stay readable after the owning forest is gone.
+        mappings, entries = _shared_mappings(), _dev_shm_entries()
         points = _points(1200, seed=2)
         buf = _buffer(points)
         forest = build_forest(buf, _options())
@@ -107,15 +122,14 @@ class TestLifecycle:
         assert np.array_equal(pinned.left, want_left)
         assert pinned.node_count == want_left.shape[0]
         del pinned
-        _assert_no_new_blocks(baseline)
+        _assert_released(mappings, entries)
 
     def test_workers_1_shm_is_serial_bit_for_bit(self):
         # More shards than keys + empty shards in the same column.
         points = _points(9, seed=3)
         single = build_bvh(_buffer(points), BvhBuildOptions(max_leaf_size=1))
         forest = build_forest(
-            _buffer(points),
-            BvhBuildOptions(shard_bits=10, max_leaf_size=1, backend="shm"),
+            _buffer(points), BvhBuildOptions(shard_bits=10, max_leaf_size=1)
         )
         assert bvh_arrays_diff(forest.bvh, single) is None
         assert forest.non_empty_shards < forest.num_shards
@@ -124,76 +138,51 @@ class TestLifecycle:
 class TestFailurePaths:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_worker_exception_unlinks_every_block(self, workers, monkeypatch):
-        baseline = shm.live_block_names()
+        mappings, entries = _shared_mappings(), _dev_shm_entries()
         monkeypatch.setattr(forest_mod, "_shm_round1", _boom)
         with pytest.raises(ValueError, match="injected worker failure"):
             build_forest(_buffer(_points(800, seed=4)), _options(workers=workers))
-        _assert_no_new_blocks(baseline)
+        _assert_released(mappings, entries)
 
     def test_failed_build_leaves_no_reopenable_names(self, monkeypatch):
-        baseline = shm.live_block_names()
-        seen: list[str] = []
-        original = forest_mod._shm_finalize
+        mappings, entries = _shared_mappings(), _dev_shm_entries()
+        seen: list[int] = []
 
-        def capture_and_fail(state, epoch, executor, plan, options, n):
-            seen.extend(state.arena.names())
-            seen.extend(epoch.arena.names())
+        def count_and_fail(*args):
+            seen.append(_shared_mappings())
             raise RuntimeError("injected finalize failure")
 
-        monkeypatch.setattr(forest_mod, "_shm_finalize", capture_and_fail)
+        monkeypatch.setattr(forest_mod, "_shm_finalize", count_and_fail)
         with pytest.raises(RuntimeError, match="injected finalize failure"):
             build_forest(_buffer(_points(600, seed=5)), _options())
-        monkeypatch.setattr(forest_mod, "_shm_finalize", original)
-        assert seen, "the failing build must have allocated blocks"
-        for name in seen:
-            # The definitive probe: a released block's name cannot be
-            # attached to again.
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-        _assert_no_new_blocks(baseline)
+        assert seen and seen[0] > mappings, "the failing build must have mapped arrays"
+        _assert_released(mappings, entries)
 
-    def test_sigkilled_build_leaves_no_blocks_after_parent_cleanup(self):
-        """A build process killed with SIGKILL mid-build cannot run any
-        finalizer, so its ``/dev/shm`` blocks survive it — the abnormal
-        exit no amount of in-process error handling covers.  The parent
-        must be able to reclaim every one of them by name."""
-        baseline = shm.live_block_names()
+    def test_sigkilled_build_leaves_no_dev_shm_entries(self):
+        """A build process killed with SIGKILL mid-build runs no cleanup at
+        all; its anonymous mappings die with it, and it never created a
+        ``/dev/shm`` entry that could outlive it."""
+        entries = _dev_shm_entries()
         ctx = multiprocessing.get_context("fork")
         queue = ctx.Queue()
         child = ctx.Process(target=_killable_build, args=(queue,))
         child.start()
         try:
-            names = queue.get(timeout=60)
+            mid_build_entries, child_mappings = queue.get(timeout=60)
         finally:
             os.kill(child.pid, signal.SIGKILL)
             child.join(timeout=60)
         assert child.exitcode == -signal.SIGKILL
-        assert names, "the build must have allocated blocks before the kill"
+        assert child_mappings > 0, "the build must have mapped arrays before the kill"
+        assert set(mid_build_entries) - entries == set()
+        assert _dev_shm_entries() - entries == set()
 
-        # The kill really leaked: the names are still attachable.
-        leaked = []
-        for name in names:
-            try:
-                block = shared_memory.SharedMemory(name=name)
-            except FileNotFoundError:
-                continue
-            block.close()
-            leaked.append(name)
-        assert leaked, "SIGKILL mid-build must leave linked blocks behind"
-
-        # Parent cleanup reclaims every one of them, idempotently.
-        assert shm.reclaim_block_names(names) == len(leaked)
-        assert shm.reclaim_block_names(names) == 0
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-        _assert_no_new_blocks(baseline)
-
-    def test_failed_delta_recovers_with_a_full_rebuild(self, monkeypatch):
-        baseline = shm.live_block_names()
+    def test_failed_delta_leaves_the_forest_delta_updatable(self, monkeypatch):
+        mappings, entries = _shared_mappings(), _dev_shm_entries()
         points = _points(1600, seed=6)
         buf = _buffer(points)
         forest = build_forest(buf, _options(shard_bits=6))
+        want = {name: getattr(forest.bvh, name).copy() for name in ("left", "node_mins")}
         moved = points.copy()
         moved[100] = points[101]
         new_buf = _buffer(moved)
@@ -208,12 +197,13 @@ class TestFailurePaths:
             delta_update_forest(forest, buf, new_buf)
         monkeypatch.setattr(forest_mod, "_shm_finalize", original)
 
-        # The cached incremental state is gone; the next update must fall
-        # back to a from-scratch build and still come out bit-identical.
-        assert forest._shm_state is None and forest._shm_epoch is None
+        # A delta writes only its own epoch, so the failed one left the
+        # forest intact, and the retry still runs incrementally.
+        for name, array in want.items():
+            assert np.array_equal(getattr(forest.bvh, name), array)
         updated, stats = delta_update_forest(forest, buf, new_buf)
-        assert stats.dirty_keys == stats.total_keys  # full rebuild
+        assert stats.dirty_keys < stats.total_keys
         fresh = build_bvh(new_buf, BvhBuildOptions())
         assert bvh_arrays_diff(updated.bvh, fresh) is None
         del forest, updated
-        _assert_no_new_blocks(baseline)
+        _assert_released(mappings, entries)

@@ -472,14 +472,12 @@ class TestPaginationUnderFaults:
 class TestShmBackendServing:
     def test_delta_updates_race_serving_replay_bit_identically(self):
         """DELTA_SHARD updates rebuilding dirty shards through the
-        shared-memory backend land mid-stream while a seeded Zipf replay is
-        serving: every served request must stay bit-identical to a clean
-        *fork-backend* reference for the epoch that served it (a
-        cross-backend check on top of the epoch-isolation one), and every
-        shm block must be unlinked once the service is dropped."""
-        config = RXConfig.paper_default().with_delta_updates(
-            shard_bits=4, backend="shm"
-        )
+        shared-memory forest build land mid-stream while a seeded Zipf
+        replay is serving: every served request must stay bit-identical to
+        a clean single-tree REBUILD reference for the epoch that served it
+        (the contract reference, on top of the epoch-isolation check), and
+        no shm block may be left once the service is dropped."""
+        config = delta_config()
         keys0 = dense_shuffled_keys(2048, seed=47)
         keys1 = shifted(keys0, 100, 900)
         keys2 = shifted(keys1, 600, 1400)
@@ -513,7 +511,7 @@ class TestShmBackendServing:
         for result in report.results:
             assert result.epoch in columns, "served by an unknown epoch"
             if result.epoch not in references:
-                ref = RXIndex(delta_config())  # fork backend on purpose
+                ref = RXIndex(RXConfig.paper_default())  # single tree, REBUILD
                 ref.build(columns[result.epoch])
                 references[result.epoch] = ref
             queries = stream.entries[result.request_id - 1].queries
