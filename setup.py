@@ -1,11 +1,25 @@
-"""Setuptools shim.
+"""Packaging for the ``repro`` library (the RX index reproduction).
 
-The project metadata lives in ``pyproject.toml``; this file only exists so
-that ``pip install -e .`` works in offline environments whose pip/setuptools
-combination lacks the ``wheel`` package required by the PEP 517 editable
-install path.
+The importable package lives under ``src/repro``.  Install it with
+``pip install -e .`` (or ``python setup.py develop`` where pip's isolated
+build environment is unavailable offline); the version is read from
+``repro.__version__`` so it is declared once.
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+VERSION = re.search(
+    r'^__version__ = "([^"]+)"',
+    (Path(__file__).parent / "src" / "repro" / "__init__.py").read_text(),
+    re.MULTILINE,
+).group(1)
+
+setup(
+    name="repro",
+    version=VERSION,
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+)

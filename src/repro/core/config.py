@@ -10,7 +10,6 @@ instead of refits for updates.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field, replace
 
 
@@ -153,31 +152,6 @@ class RXConfig:
     #: overrides this (its default ``"auto"`` defers to this config value,
     #: mirroring how ``point_trace_mode="auto"`` resolves the point mode).
     range_limit: int | None = None
-    #: serving-layer knobs (:mod:`repro.serve`): the micro-batching scheduler
-    #: closes a coalesced launch once it holds ``serve_max_batch`` queries or
-    #: the oldest pending request has waited ``serve_max_wait`` seconds of
-    #: stream time, whichever comes first.
-    serve_max_batch: int = 4096
-    serve_max_wait: float = 1e-3
-    #: capacity (entries) of the serving layer's epoch-keyed result cache;
-    #: 0 disables caching.
-    serve_cache_capacity: int = 4096
-    #: default per-request deadline, relative seconds after arrival; ``None``
-    #: keeps requests deadline-free.  Requests whose deadline cannot be met
-    #: are rejected up front, and deadline-aware flushing closes windows
-    #: early enough that the flush still fits before the tightest deadline.
-    serve_deadline: float | None = None
-    #: admission-control bound on *pending queries* in the scheduler queue;
-    #: ``None`` keeps the queue unbounded.  Over the bound, requests are shed
-    #: with an explicit rejection carrying a retry-after hint.
-    serve_max_queue: int | None = None
-    #: retry policy for faulted coalesced launches: max retry attempts and
-    #: exponential backoff (``base * factor**attempt``, jittered upward by at
-    #: most ``jitter`` of itself).
-    serve_retry_max: int = 3
-    serve_retry_backoff: float = 1e-3
-    serve_retry_factor: float = 2.0
-    serve_retry_jitter: float = 0.1
 
     def validate(self) -> None:
         """Reject configurations the hardware (or float32) cannot express."""
@@ -240,58 +214,6 @@ class RXConfig:
             raise ValueError(
                 f"range_limit must be at least 1 (or None), got {self.range_limit}"
             )
-        if self.serve_max_batch < 1:
-            raise ValueError(
-                f"serve_max_batch must be at least 1, got {self.serve_max_batch}"
-            )
-        if not self.serve_max_wait >= 0:  # NaN-proof: NaN fails every compare
-            raise ValueError(
-                f"serve_max_wait must be non-negative, got {self.serve_max_wait}"
-            )
-        if self.serve_cache_capacity < 0:
-            raise ValueError(
-                "serve_cache_capacity must be non-negative (0 disables), "
-                f"got {self.serve_cache_capacity}"
-            )
-        if self.serve_deadline is not None:
-            if not (self.serve_deadline > 0 and math.isfinite(self.serve_deadline)):
-                raise ValueError(
-                    "serve_deadline must be a positive, finite number of "
-                    f"seconds (or None to disable), got {self.serve_deadline}"
-                )
-            if self.serve_max_wait > self.serve_deadline:
-                raise ValueError(
-                    f"serve_max_wait ({self.serve_max_wait}) exceeds "
-                    f"serve_deadline ({self.serve_deadline}): every request "
-                    "would time out while still queued; lower serve_max_wait "
-                    "(serve_max_wait=0 flushes immediately and is allowed) or "
-                    "raise serve_deadline"
-                )
-        if self.serve_max_queue is not None and self.serve_max_queue < 1:
-            raise ValueError(
-                "serve_max_queue must be at least 1 query (or None for an "
-                f"unbounded queue), got {self.serve_max_queue}"
-            )
-        if self.serve_retry_max < 0:
-            raise ValueError(
-                f"serve_retry_max must be >= 0 (0 disables retries), "
-                f"got {self.serve_retry_max}"
-            )
-        if math.isnan(self.serve_retry_backoff) or self.serve_retry_backoff < 0:
-            raise ValueError(
-                "serve_retry_backoff must be a non-negative number of "
-                f"seconds, got {self.serve_retry_backoff}"
-            )
-        if math.isnan(self.serve_retry_factor) or self.serve_retry_factor < 1.0:
-            raise ValueError(
-                "serve_retry_factor must be >= 1.0 (backoff must not shrink), "
-                f"got {self.serve_retry_factor}"
-            )
-        if math.isnan(self.serve_retry_jitter) or not 0.0 <= self.serve_retry_jitter <= 1.0:
-            raise ValueError(
-                "serve_retry_jitter must be a fraction in [0, 1], "
-                f"got {self.serve_retry_jitter}"
-            )
 
     def with_updates_enabled(self) -> "RXConfig":
         """Copy of this config prepared for refit-style updates."""
@@ -345,24 +267,18 @@ class RXConfig:
             "value_bytes": self.value_bytes,
             "point_trace_mode": self.point_trace_mode,
             "range_limit": self.range_limit,
-            "serve_max_batch": self.serve_max_batch,
-            "serve_max_wait": self.serve_max_wait,
-            "serve_cache_capacity": self.serve_cache_capacity,
-            "serve_deadline": self.serve_deadline,
-            "serve_max_queue": self.serve_max_queue,
-            "serve_retry_max": self.serve_retry_max,
-            "serve_retry_backoff": self.serve_retry_backoff,
-            "serve_retry_factor": self.serve_retry_factor,
-            "serve_retry_jitter": self.serve_retry_jitter,
         }
 
     @staticmethod
     def from_dict(data: dict) -> "RXConfig":
         """Inverse of :meth:`as_dict`; validates the reconstructed config.
 
-        Snapshots written while sharded builds had a choice of executor
-        carry a ``build_backend`` of ``"fork"`` or ``"shm"``; both name the
-        same trees, so the key is accepted and dropped.
+        Older snapshots carry keys that are no longer index configuration,
+        and those keys are accepted and dropped. One is ``build_backend``
+        (``"fork"`` or ``"shm"``), from when sharded builds had a choice of
+        executor; both name the same trees. The others are the nine
+        ``serve_*`` settings, which now belong to ``IndexService``'s
+        constructor.
         """
         data = dict(data)
         backend = data.pop("build_backend", None)
@@ -370,6 +286,12 @@ class RXConfig:
             raise ValueError(
                 f"malformed RXConfig dict: unknown build_backend {backend!r}"
             )
+        for key in (
+            "serve_max_batch", "serve_max_wait", "serve_cache_capacity",
+            "serve_deadline", "serve_max_queue", "serve_retry_max",
+            "serve_retry_backoff", "serve_retry_factor", "serve_retry_jitter",
+        ):
+            data.pop(key, None)
         try:
             config = RXConfig(
                 key_mode=KeyMode(data.pop("key_mode")),

@@ -59,6 +59,7 @@ from repro.rtx.pipeline import (
     accel_compact,
     accel_delta_update,
     accel_update,
+    build_options_for_flags,
 )
 
 #: Instructions the programmable pipeline stages execute per lookup / per hit.
@@ -202,12 +203,19 @@ class RXIndex(GpuIndex):
 
         self._pipeline = Pipeline(self.context, self._accel, max_frontier=self.max_frontier)
         self.epoch += 1
-        bvh = self._accel.bvh
-        memory = self.memory_footprint()
+        return self._record_build_result(**compaction_stats)
+
+    def _record_build_result(self, **extra) -> BuildResult:
+        """Summarise the live accel as ``self._build_result`` — the same
+        shape whether the accel was just built or restored from a snapshot
+        (``extra`` carries what only one of the two paths knows)."""
+        accel = self._accel
+        bvh = accel.bvh
+        forest = accel.forest
         self._build_result = BuildResult(
             num_keys=self.num_keys,
             key_bits=64,
-            memory=memory,
+            memory=self.memory_footprint(),
             stats={
                 "primitive": self.config.primitive.value,
                 "key_mode": self.config.key_mode.value,
@@ -215,15 +223,15 @@ class RXIndex(GpuIndex):
                 "bvh_nodes": bvh.node_count,
                 "bvh_depth": bvh.depth(),
                 "bvh_leaves": bvh.leaf_count,
-                "compacted": self._accel.compacted,
-                **compaction_stats,
+                "compacted": accel.compacted,
+                **extra,
                 **(
                     {
-                        "shards": self._accel.forest.non_empty_shards,
-                        "delegated_shards": self._accel.forest.delegated_shards,
-                        "build_workers": self._accel.forest.workers_used,
+                        "shards": forest.non_empty_shards,
+                        "delegated_shards": forest.delegated_shards,
+                        "build_workers": forest.workers_used,
                     }
-                    if self._accel.forest is not None
+                    if forest is not None
                     else {}
                 ),
             },
@@ -310,13 +318,14 @@ class RXIndex(GpuIndex):
         run.stats["trace_mode"] = mode
         return run
 
-    def _range_limit(self, limit) -> int | None:
-        """Resolve the per-call ``limit`` against the configured default.
+    def resolve_range_limit(self, limit) -> int | None:
+        """Resolve a per-call range ``limit`` against the configured default.
 
         ``"auto"`` (the default) defers to ``RXConfig.range_limit`` —
         mirroring how ``point_trace_mode="auto"`` resolves the point-lookup
         mode; ``None`` forces an all-hits lookup regardless of the config;
-        an integer overrides the config for this call.
+        an integer overrides the config for this call.  The serving layer
+        resolves its requests' limits here too.
         """
         if isinstance(limit, str):
             if limit != "auto":
@@ -362,7 +371,7 @@ class RXIndex(GpuIndex):
         uppers = np.asarray(uppers, dtype=np.uint64)
         if lowers.shape != uppers.shape:
             raise ValueError("lowers and uppers must have the same shape")
-        limit = self._range_limit(limit)
+        limit = self.resolve_range_limit(limit)
         rays = self.codec.range_ray_batch(
             lowers,
             uppers,
@@ -389,7 +398,7 @@ class RXIndex(GpuIndex):
                 "order='key' pages one range at a time; batch paged lookups "
                 "through the serving layer"
             )
-        limit = self._range_limit(limit)
+        limit = self.resolve_range_limit(limit)
         if limit is None:
             raise ValueError("order='key' requires a page size (limit)")
         lower = int(lowers[0])
@@ -704,19 +713,7 @@ class RXIndex(GpuIndex):
         build_input = self._make_build_input(self.keys)
         buffer = build_input.primitive_buffer()
         flags = self._build_flags()
-        base = self._bvh_options()
-        # Normalise exactly like accel_build so the restored options compare
-        # equal to the ones the original build ran with.
-        options = BvhBuildOptions(
-            builder=base.builder,
-            max_leaf_size=base.max_leaf_size,
-            sah_bins=base.sah_bins,
-            morton_bits=base.morton_bits,
-            allow_update=bool(flags & BuildFlags.ALLOW_UPDATE),
-            allow_compaction=bool(flags & BuildFlags.ALLOW_COMPACTION),
-            shard_bits=base.shard_bits,
-            workers=base.workers,
-        )
+        options = build_options_for_flags(self._bvh_options(), flags)
         compacted = bool(meta.get("compacted", False))
         if meta.get("kind") == "forest":
             shard_rows: dict = {}
@@ -769,22 +766,7 @@ class RXIndex(GpuIndex):
         self._accel = accel
         self._pipeline = Pipeline(self.context, accel, max_frontier=self.max_frontier)
         self._last_build_seconds = None
-        memory = self.memory_footprint()
-        self._build_result = BuildResult(
-            num_keys=self.num_keys,
-            key_bits=64,
-            memory=memory,
-            stats={
-                "primitive": self.config.primitive.value,
-                "key_mode": self.config.key_mode.value,
-                "builder": self.config.bvh_builder,
-                "bvh_nodes": bvh.node_count,
-                "bvh_depth": bvh.depth(),
-                "bvh_leaves": bvh.leaf_count,
-                "compacted": compacted,
-                "restored_from_snapshot": True,
-            },
-        )
+        self._record_build_result(restored_from_snapshot=True)
         self._persist_stats.update(
             loads=self._persist_stats["loads"] + 1,
             last_load_seconds=snap.load_seconds,

@@ -962,7 +962,6 @@ def forest_from_saved(
         )
     finally:
         executor.close()
-    forest.telemetry = None  # a restore builds nothing
     return forest
 
 

@@ -16,7 +16,7 @@ every intersection to the any-hit program.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -89,6 +89,17 @@ class GeometryAccel:
         return self.memory_info[key]
 
 
+def build_options_for_flags(options: BvhBuildOptions, flags: BuildFlags) -> BvhBuildOptions:
+    """``options`` with its update/compaction switches taken from the build
+    ``flags``, so an accel's options compare equal however it was made
+    (built here, or restored from a snapshot)."""
+    return replace(
+        options,
+        allow_update=bool(flags & BuildFlags.ALLOW_UPDATE),
+        allow_compaction=bool(flags & BuildFlags.ALLOW_COMPACTION),
+    )
+
+
 def accel_build(
     context: DeviceContext,
     build_input: BuildInput,
@@ -101,16 +112,8 @@ def accel_build(
     allocated for the duration of the build (and accounted in the tracker's
     peak), the resulting accel stays resident.
     """
-    options = build_options or context.default_build_options
-    options = BvhBuildOptions(
-        builder=options.builder,
-        max_leaf_size=options.max_leaf_size,
-        sah_bins=options.sah_bins,
-        morton_bits=options.morton_bits,
-        allow_update=bool(flags & BuildFlags.ALLOW_UPDATE),
-        allow_compaction=bool(flags & BuildFlags.ALLOW_COMPACTION),
-        shard_bits=options.shard_bits,
-        workers=options.workers,
+    options = build_options_for_flags(
+        build_options or context.default_build_options, flags
     )
 
     buffer = build_input.primitive_buffer()

@@ -132,6 +132,13 @@ class AdmissionController:
 
     max_queue: int | None = None
 
+    def __post_init__(self) -> None:
+        if self.max_queue is not None and self.max_queue < 1:
+            raise ValueError(
+                "max_queue must be at least 1 query (or None for an unbounded "
+                f"queue), got {self.max_queue}"
+            )
+
     def admits(self, pending_queries: int, incoming_queries: int) -> bool:
         if self.max_queue is None:
             return True

@@ -237,7 +237,7 @@ class MicroBatchScheduler:
     ):
         if max_batch < 1:
             raise ValueError(f"max_batch must be at least 1, got {max_batch}")
-        if max_wait < 0:
+        if not max_wait >= 0:  # NaN-proof: NaN fails every compare
             raise ValueError(f"max_wait must be non-negative, got {max_wait}")
         self.max_batch = int(max_batch)
         self.max_wait = float(max_wait)

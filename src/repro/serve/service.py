@@ -30,6 +30,7 @@ against a real component:
 
 from __future__ import annotations
 
+import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -135,44 +136,49 @@ class IndexService:
     def __init__(
         self,
         index: RXIndex,
-        max_batch: int | None = None,
-        max_wait: float | None = None,
-        cache_capacity: int | None = None,
+        max_batch: int = 4096,
+        max_wait: float = 1e-3,
+        cache_capacity: int = 4096,
         deadline: float | None = None,
         max_queue: int | None = None,
         retry: RetryPolicy | None = None,
         fault_injector=None,
     ):
-        config = index.config
+        """A window closes at ``max_batch`` queries or once its oldest
+        request has waited ``max_wait`` stream seconds; ``cache_capacity``
+        of 0 disables the result cache.  ``deadline`` (relative seconds) is
+        stamped on requests that carry none, ``max_queue`` bounds pending
+        queries (over it, requests are shed with a retry-after hint), and
+        ``retry`` shapes the backoff for faulted launches.  ``None`` leaves
+        deadlines and the queue unbounded."""
+        if deadline is not None:
+            if not (deadline > 0 and math.isfinite(deadline)):
+                raise ValueError(
+                    "deadline must be a positive, finite number of seconds "
+                    f"(or None to disable), got {deadline}"
+                )
+            if max_wait > deadline:
+                raise ValueError(
+                    f"max_wait ({max_wait}) exceeds deadline ({deadline}): every "
+                    "request would time out while still queued; lower max_wait "
+                    "(max_wait=0 flushes immediately and is allowed) or raise "
+                    "deadline"
+                )
         self.index = index
         self.faults = fault_injector
         self.serve_stats = ServeStats()
         #: default relative deadline (seconds after arrival) stamped on
         #: requests that do not carry their own; None = no deadline
-        self.deadline = deadline if deadline is not None else config.serve_deadline
-        self.admission = AdmissionController(
-            max_queue if max_queue is not None else config.serve_max_queue
-        )
-        if retry is None:
-            retry = RetryPolicy(
-                max_retries=config.serve_retry_max,
-                backoff_base=config.serve_retry_backoff,
-                backoff_factor=config.serve_retry_factor,
-                jitter=config.serve_retry_jitter,
-            )
-        self.retry = retry
+        self.deadline = deadline
+        self.admission = AdmissionController(max_queue)
+        self.retry = retry if retry is not None else RetryPolicy()
         self.scheduler = MicroBatchScheduler(
-            max_batch=max_batch if max_batch is not None else config.serve_max_batch,
-            max_wait=max_wait if max_wait is not None else config.serve_max_wait,
-            retry=retry,
+            max_batch=max_batch,
+            max_wait=max_wait,
+            retry=self.retry,
             serve_stats=self.serve_stats,
         )
-        self.cache = ResultCache(
-            cache_capacity
-            if cache_capacity is not None
-            else config.serve_cache_capacity,
-            fault_injector=fault_injector,
-        )
+        self.cache = ResultCache(cache_capacity, fault_injector=fault_injector)
         self.epochs = EpochManager(index, fault_injector=fault_injector)
         self.epochs.add_listener(self.cache.invalidate_before)
         self._next_request_id = 0
@@ -290,16 +296,7 @@ class IndexService:
         than serving rows of a different column state — the client restarts
         the scan explicitly.
         """
-        if isinstance(limit, str):
-            if limit != "auto":
-                raise ValueError(
-                    f"limit must be an int, None or 'auto', got {limit!r}"
-                )
-            limit = self.index.config.range_limit
-        if limit is not None:
-            limit = int(limit)
-            if limit < 1:
-                raise ValueError(f"limit must be at least 1, got {limit}")
+        limit = self.index.resolve_range_limit(limit)
         # Validate the client-supplied cursor token up front: a malformed or
         # out-of-range token must fail here with a clean ValueError, not deep
         # inside a coalesced launch.  The original token string still rides

@@ -1,4 +1,4 @@
-"""Tests for RXConfig and the key decomposition."""
+"""Tests for RXConfig, the key decomposition and the serving settings' validation."""
 
 import pytest
 
@@ -11,6 +11,9 @@ from repro.core.config import (
     RXConfig,
     UpdatePolicy,
 )
+from repro.core.rx_index import RXIndex
+from repro.serve import IndexService, RetryPolicy
+from repro.workloads import dense_shuffled_keys
 
 
 class TestKeyDecomposition:
@@ -116,59 +119,75 @@ class TestRXConfigValidation:
         with pytest.raises(TypeError):
             RXConfig(build_backend="shm")
 
+    def test_legacy_serve_keys_are_dropped_on_load(self):
+        config = RXConfig.paper_default()
+        legacy = {
+            "serve_max_batch": 4096,
+            "serve_max_wait": 1e-3,
+            "serve_cache_capacity": 4096,
+            "serve_deadline": None,
+            "serve_max_queue": None,
+            "serve_retry_max": 3,
+            "serve_retry_backoff": 1e-3,
+            "serve_retry_factor": 2.0,
+            "serve_retry_jitter": 0.1,
+        }
+        assert not any(key.startswith("serve_") for key in config.as_dict())
+        assert RXConfig.from_dict({**config.as_dict(), **legacy}) == config
+        with pytest.raises(ValueError, match="serve_max_batches"):
+            RXConfig.from_dict({**config.as_dict(), "serve_max_batches": 1})
+        with pytest.raises(TypeError):
+            RXConfig(serve_max_batch=4096)
+
+
+@pytest.fixture(scope="module")
+def index():
+    index = RXIndex(RXConfig.paper_default())
+    index.build(dense_shuffled_keys(256, seed=70))
+    return index
+
 
 class TestResilienceKnobValidation:
-    def test_defaults_are_valid(self):
-        config = RXConfig.paper_default()
-        config.validate()
-        assert config.serve_deadline is None
-        assert config.serve_max_queue is None
+    """The serving settings are ``IndexService`` constructor arguments,
+    validated by the component that owns each one."""
 
-    def test_deadline_must_be_positive_finite(self):
+    def test_defaults_are_valid(self, index):
+        service = IndexService(index)
+        assert service.deadline is None
+        assert service.admission.max_queue is None
+
+    def test_deadline_must_be_positive_finite(self, index):
         for bad in (0.0, -1.0, float("nan"), float("inf")):
-            config = RXConfig.paper_default()
-            config.serve_deadline = bad
-            with pytest.raises(ValueError, match="serve_deadline"):
-                config.validate()
+            with pytest.raises(ValueError, match="deadline"):
+                IndexService(index, deadline=bad)
 
-    def test_max_wait_nan_rejected(self):
-        config = RXConfig.paper_default()
-        config.serve_max_wait = float("nan")
-        with pytest.raises(ValueError, match="serve_max_wait"):
-            config.validate()
+    def test_max_wait_nan_rejected(self, index):
+        with pytest.raises(ValueError, match="max_wait"):
+            IndexService(index, max_wait=float("nan"))
 
-    def test_max_wait_exceeding_deadline_rejected(self):
-        config = RXConfig.paper_default()
-        config.serve_deadline = 1e-3
-        config.serve_max_wait = 5e-3
-        with pytest.raises(ValueError, match="serve_max_wait.*serve_deadline"):
-            config.validate()
+    def test_max_wait_exceeding_deadline_rejected(self, index):
+        with pytest.raises(ValueError, match="max_wait.*deadline"):
+            IndexService(index, deadline=1e-3, max_wait=5e-3)
 
-    def test_zero_max_wait_with_deadline_is_allowed(self):
-        config = RXConfig.paper_default()
-        config.serve_deadline = 1e-3
-        config.serve_max_wait = 0.0
-        config.validate()  # immediate flush always fits any deadline
+    def test_zero_max_wait_with_deadline_is_allowed(self, index):
+        # immediate flush always fits any deadline
+        IndexService(index, deadline=1e-3, max_wait=0.0)
 
-    def test_queue_bound_must_be_at_least_one(self):
+    def test_queue_bound_must_be_at_least_one(self, index):
         for bad in (0, -5):
-            config = RXConfig.paper_default()
-            config.serve_max_queue = bad
-            with pytest.raises(ValueError, match="serve_max_queue"):
-                config.validate()
+            with pytest.raises(ValueError, match="max_queue"):
+                IndexService(index, max_queue=bad)
 
-    def test_retry_knob_validation(self):
+    def test_retry_knob_validation(self, index):
         for field, bad in (
-            ("serve_retry_max", -1),
-            ("serve_retry_backoff", -1e-3),
-            ("serve_retry_backoff", float("nan")),
-            ("serve_retry_factor", 0.5),
-            ("serve_retry_factor", float("nan")),
-            ("serve_retry_jitter", -0.1),
-            ("serve_retry_jitter", 1.5),
-            ("serve_retry_jitter", float("nan")),
+            ("max_retries", -1),
+            ("backoff_base", -1e-3),
+            ("backoff_base", float("nan")),
+            ("backoff_factor", 0.5),
+            ("backoff_factor", float("nan")),
+            ("jitter", -0.1),
+            ("jitter", 1.5),
+            ("jitter", float("nan")),
         ):
-            config = RXConfig.paper_default()
-            setattr(config, field, bad)
             with pytest.raises(ValueError, match=field):
-                config.validate()
+                IndexService(index, retry=RetryPolicy(**{field: bad}))

@@ -290,6 +290,50 @@ class TestDifferentialRoundtrip:
         assert loaded.config == config
         assert bvh_arrays_diff(loaded.accel.bvh, index.accel.bvh) is None
 
+    def test_snapshot_with_legacy_serve_settings_loads(self, tmp_path):
+        # Snapshots saved while RXConfig carried the serving settings record
+        # all nine in the manifest's config; they must still load.
+        keys = dense_shuffled_keys(1024, seed=DIFF_SEED)
+        config = RXConfig.paper_default()
+        index = RXIndex(config)
+        index.build(keys)
+        index.save(tmp_path)
+        manifest_path = tmp_path / "MANIFEST.json"
+        manifest = json.loads(manifest_path.read_text())
+        saved = manifest["index"]["config"]
+        assert not any(key.startswith("serve_") for key in saved)
+        saved.update(
+            serve_max_batch=4096,
+            serve_max_wait=1e-3,
+            serve_cache_capacity=4096,
+            serve_deadline=None,
+            serve_max_queue=None,
+            serve_retry_max=3,
+            serve_retry_backoff=1e-3,
+            serve_retry_factor=2.0,
+            serve_retry_jitter=0.1,
+        )
+        manifest_path.write_text(json.dumps(manifest))
+
+        loaded = RXIndex.load(tmp_path, mmap=True)
+        assert loaded.config == config
+        assert bvh_arrays_diff(loaded.accel.bvh, index.accel.bvh) is None
+
+    def test_restored_forest_reports_its_shape(self, tmp_path):
+        keys = dense_shuffled_keys(4096, seed=DIFF_SEED)
+        index = RXIndex(RXConfig.paper_default().with_delta_updates(shard_bits=3))
+        build_result = index.build(keys)
+        index.save(tmp_path)
+        loaded = RXIndex.load(tmp_path, mmap=True)
+
+        built, restored = index.stats()["build"], loaded.stats()["build"]
+        assert restored["backend"] == built["backend"] == "shm"
+        assert restored["shards"] == built["shards"] == 8
+        assert restored["delegated_shards"] == built["delegated_shards"]
+        for key in ("shards", "delegated_shards"):
+            assert loaded._build_result.stats[key] == build_result.stats[key]
+        assert loaded._build_result.stats["restored_from_snapshot"]
+
     def test_stats_persist_block(self, tmp_path):
         rng = np.random.default_rng(DIFF_SEED)
         keys = rng.integers(0, 1 << 16, size=256, dtype=np.uint64)

@@ -312,7 +312,7 @@ class TestDeadlines:
         """Unmeetable (but feasible-looking) deadlines produce explicit
         timeout results for every request — nothing is dropped."""
         keys = dense_shuffled_keys(1024, seed=39)
-        service = build_service(keys, cache_capacity=0, deadline=1e-9)
+        service = build_service(keys, cache_capacity=0, max_wait=0.0, deadline=1e-9)
         stream = zipf_point_stream(keys, 32, 0.5, rate=1000.0, seed=FAULT_SEED)
         report = service.replay(stream)
         account_everything(stream, report)

@@ -1,4 +1,4 @@
-"""IndexService drivers: open/closed-loop replay, stats, config knobs."""
+"""IndexService drivers: open/closed-loop replay, stats, constructor knobs."""
 
 import numpy as np
 import pytest
@@ -213,34 +213,63 @@ class TestStatsAndKnobs:
         with pytest.raises(RuntimeError, match="build"):
             RXIndex(RXConfig.paper_default()).stats()
 
-    def test_service_defaults_come_from_config(self):
-        config = RXConfig.paper_default()
-        config.serve_max_batch = 7
-        config.serve_max_wait = 0.25
-        config.serve_cache_capacity = 3
-        index = RXIndex(config)
+    def test_service_constructor_defaults(self):
+        index = RXIndex(RXConfig.paper_default())
         index.build(dense_shuffled_keys(256, seed=72))
         service = IndexService(index)
-        assert service.scheduler.max_batch == 7
-        assert service.scheduler.max_wait == 0.25
-        assert service.cache.capacity == 3
+        assert service.scheduler.max_batch == 4096
+        assert service.scheduler.max_wait == 1e-3
+        assert service.cache.capacity == 4096
         knobs = service.stats()["serve_knobs"]
         assert knobs == {
-            "max_batch": 7,
-            "max_wait": 0.25,
-            "cache_capacity": 3,
+            "max_batch": 4096,
+            "max_wait": 1e-3,
+            "cache_capacity": 4096,
             "deadline": None,
             "max_queue": None,
             "retry_max": 3,
         }
 
     def test_serve_knob_validation(self):
-        for field, value in (
-            ("serve_max_batch", 0),
-            ("serve_max_wait", -1.0),
-            ("serve_cache_capacity", -1),
+        index = make_index(num_keys=256)
+        # The component that owns each value rejects it under its own
+        # argument name (the result cache calls its bound "capacity").
+        for field, value, name in (
+            ("max_batch", 0, "max_batch"),
+            ("max_wait", -1.0, "max_wait"),
+            ("cache_capacity", -1, "capacity"),
         ):
-            config = RXConfig.paper_default()
-            setattr(config, field, value)
-            with pytest.raises(ValueError, match=field):
-                config.validate()
+            with pytest.raises(ValueError, match=name):
+                IndexService(index, **{field: value})
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"max_wait": float("nan")}, "max_wait"),
+            ({"deadline": -1.0}, "deadline"),
+            ({"deadline": float("nan")}, "deadline"),
+            ({"max_queue": 0}, "max_queue"),
+            ({"max_wait": 0.5, "deadline": 0.01}, "max_wait"),
+        ],
+        ids=["nan_max_wait", "negative_deadline", "nan_deadline", "zero_max_queue",
+             "max_wait_over_deadline"],
+    )
+    def test_constructor_rejects_unservable_settings(self, kwargs, name):
+        """Each of these used to be accepted and then served nothing (or
+        failed every request); each now fails at construction, naming the
+        argument."""
+        with pytest.raises(ValueError, match=name):
+            IndexService(make_index(num_keys=256), **kwargs)
+
+    def test_submit_range_resolves_limit_like_range_lookup(self):
+        index = make_index(num_keys=256, range_limit=5)
+        service = IndexService(index, cache_capacity=0)
+        lows = index.keys[:2]
+        for bad in (0, "bogus"):
+            with pytest.raises(ValueError) as direct:
+                index.range_lookup(lows, lows + 4, limit=bad)
+            with pytest.raises(ValueError) as served:
+                service.submit_range(lows, lows + 4, limit=bad)
+            assert str(served.value) == str(direct.value)
+        assert service.submit_range(lows, lows + 4).limit == 5
+        assert service.submit_range(lows, lows + 4, limit=None).limit is None
